@@ -519,7 +519,7 @@ func buildPlan(src *nla.Matrix, opts Options, treeKind trees.Kind, rec *core.Rec
 		cfg.Recorder = rec
 		cfg.Blocking = nla.Blocking(opts.Gemm)
 		spec.Config = cfg
-		ex = pipeline.OwnerCompute{Grid: grid, WorkersPerNode: wpn}
+		ex = pipeline.OwnerCompute{Grid: grid, WorkersPerNode: wpn, Replica: pipeline.Replica(spec)}
 	}
 	return pipeline.Build(spec), ex, nil
 }

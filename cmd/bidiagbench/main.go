@@ -482,14 +482,8 @@ func runPerfBND2BD(n, ku, workers, reps int, jsonPath string) error {
 		start := time.Now()
 		g := sched.NewGraph()
 		finish := band.BuildReduceGraph(g, b, 0)
-		var runErr error
-		if workers > 1 {
-			runErr = g.RunParallel(workers)
-		} else {
-			runErr = g.RunSequential()
-		}
-		if runErr != nil {
-			return runErr
+		if err := g.RunParallel(workers); err != nil {
+			return err
 		}
 		out := finish()
 		wall := time.Since(start)

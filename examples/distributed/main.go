@@ -93,10 +93,19 @@ func main() {
 		panic(err)
 	}
 
-	g := sched.NewGraph()
-	data := tile.FromDense(a, enb)
-	core.BuildBidiag(g, esh, data, etc.Configure())
-	res, err := dist.Execute(g, dist.Options{Grid: egrid, WorkersPerNode: 2})
+	// Ranks 1–3 run replicas of the graph over their own copies of the
+	// input; rank 0 runs g and gathers the result into data.
+	build := func() (*sched.Graph, *tile.Matrix) {
+		g := sched.NewGraph()
+		data := tile.FromDense(a, enb)
+		core.BuildBidiag(g, esh, data, etc.Configure())
+		return g, data
+	}
+	g, data := build()
+	res, err := dist.Execute(g, dist.Options{Grid: egrid, WorkersPerNode: 2, Replica: func() *sched.Graph {
+		rg, _ := build()
+		return rg
+	}})
 	if err != nil {
 		panic(err)
 	}

@@ -42,9 +42,20 @@ func (t *Target) Set(i, j int, v float64) {
 	t.w.diags[s+1][i] = v
 }
 
+// WindowHandles registers the per-window data handles of the reduction
+// on g (window resolved via WindowWidth). The fused pipeline
+// (internal/pipeline) creates the handles first, submits its band-fill
+// adapter tasks against them, and only then appends the chase segments,
+// so the sched runtime orders every segment after the adapters that
+// populate the columns it touches. Each handle carries a payload codec
+// over its columns, so the windows can cross ranks.
+func (t *Target) WindowHandles(g *sched.Graph, window int) []*sched.Handle {
+	return newWindowHandles(g, t.w, window)
+}
+
 // BuildSegments appends the chase-segment tasks of the reduction onto g,
 // declaring read-write accesses on the given window handles (created
-// earlier with NewWindowHandles for the same n, ku and window), and
+// earlier with WindowHandles for the same window), and
 // returns the bidiagonal finisher. Tasks already submitted against those
 // handles — the fused pipeline's band-fill adapters — order before every
 // segment that touches their windows, which is exactly the cross-stage

@@ -1,6 +1,7 @@
 package band
 
 import (
+	"encoding/binary"
 	"math"
 
 	"github.com/tiled-la/bidiag/internal/kernels"
@@ -201,14 +202,13 @@ func WindowWidth(n, window int) int {
 	return DefaultWindow(n)
 }
 
-// NewWindowHandles registers the per-window data handles of a BND2BD
-// reduction of an n×n band with ku superdiagonals on g and returns them
-// (nil for n = 0). window must already be resolved via WindowWidth. The
-// fused pipeline (internal/pipeline) creates the handles first, submits
-// its band-fill adapter tasks against them, and only then appends the
-// chase segments, so the sched runtime orders every segment after the
-// adapters that populate the columns it touches.
-func NewWindowHandles(g *sched.Graph, n, ku, window int) []*sched.Handle {
+// newWindowHandles registers the per-window data handles of the
+// reduction over w on g and returns them (nil for n = 0). window must
+// already be resolved via WindowWidth. Each handle's payload codec
+// covers every stored element of the window's columns, so a
+// distributed executor can ship a window between ranks.
+func newWindowHandles(g *sched.Graph, w *work, window int) []*sched.Handle {
+	n := w.n
 	if n <= 0 {
 		return nil
 	}
@@ -218,15 +218,51 @@ func NewWindowHandles(g *sched.Graph, n, ku, window int) []*sched.Handle {
 	// model so an absurdly wide user window cannot overflow the int32
 	// handle size (the distributed comm accounting sums these).
 	cols := min(window, n)
-	winBytes64 := int64(cols) * int64(ku+3) * 8
+	winBytes64 := int64(cols) * int64(w.ku+3) * 8
 	if winBytes64 > math.MaxInt32 {
 		winBytes64 = math.MaxInt32
 	}
 	winBytes := int32(winBytes64)
 	for i := range handles {
-		handles[i] = g.NewHandle(winBytes, 0)
+		h := g.NewHandle(winBytes, 0)
+		lo, hi := i*window, min(n, (i+1)*window)
+		h.SetPayload(func() []byte {
+			var buf []byte
+			w.eachInColumns(lo, hi, func(v *float64) {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(*v))
+			})
+			return buf
+		})
+		h.SetRestore(func(buf []byte) int {
+			k := 0
+			w.eachInColumns(lo, hi, func(v *float64) {
+				*v = math.Float64frombits(binary.LittleEndian.Uint64(buf[k:]))
+				k += 8
+			})
+			return k
+		})
+		handles[i] = h
 	}
 	return handles
+}
+
+// eachInColumns calls f on every stored element (i, j) with lo ≤ j < hi,
+// column by column, from the subdiagonal up: the fixed order of a
+// window's payload.
+func (w *work) eachInColumns(lo, hi int, f func(*float64)) {
+	for j := lo; j < hi; j++ {
+		for s := -1; s <= w.ku+1; s++ {
+			// diags[s+1] holds (j−s, j) at index j−s, except the
+			// subdiagonal, which holds (j+1, j) at index j.
+			d, k := w.diags[s+1], j-s
+			if s < 0 {
+				k = j
+			}
+			if k >= 0 && k < len(d) {
+				f(&d[k])
+			}
+		}
+	}
 }
 
 // BuildReduceGraph appends the pipelined BND2BD task DAG for b onto g and
@@ -237,7 +273,8 @@ func NewWindowHandles(g *sched.Graph, n, ku, window int) []*sched.Handle {
 // private working copy of the band.
 func BuildReduceGraph(g *sched.Graph, b *Matrix, window int) (finish func() *Matrix) {
 	window = WindowWidth(b.N, window)
-	return buildSegments(g, newWork(b), window, NewWindowHandles(g, b.N, b.KU, window))
+	w := newWork(b)
+	return buildSegments(g, w, window, newWindowHandles(g, w, window))
 }
 
 // buildSegments emits the chase-segment tasks of the reduction over w
@@ -292,13 +329,7 @@ func buildSegments(g *sched.Graph, w *work, window int, handles []*sched.Handle)
 func ReduceParallel(b *Matrix, workers, window int) (*Matrix, error) {
 	g := sched.NewGraph()
 	finish := BuildReduceGraph(g, b, window)
-	var err error
-	if workers > 1 {
-		err = g.RunParallel(workers)
-	} else {
-		err = g.RunSequential()
-	}
-	if err != nil {
+	if err := g.RunParallel(workers); err != nil {
 		return nil, err
 	}
 	return finish(), nil

@@ -154,7 +154,7 @@ func (st *RecStage) applyLeft(c *tile.Matrix, workers int, bl nla.Blocking) erro
 			}
 		}
 	}
-	return runGraph(g, workers)
+	return g.RunParallel(workers)
 }
 
 // applyRight applies the stage's right product (no-trans, reverse order)
@@ -198,12 +198,5 @@ func (st *RecStage) applyRight(c *tile.Matrix, workers int, bl nla.Blocking) err
 			}
 		}
 	}
-	return runGraph(g, workers)
-}
-
-func runGraph(g *sched.Graph, workers int) error {
-	if workers > 1 {
-		return g.RunParallel(workers)
-	}
-	return g.RunSequential()
+	return g.RunParallel(workers)
 }

@@ -6,17 +6,23 @@
 //
 // # Execution models
 //
-// Execute runs all nodes as goroutine pools inside one process and is
-// the reference for communication accounting: its CommCount/CommVolume
-// equal sched.SimulateDistributed's prediction for the same graph and
-// grid by construction.
+// ExecuteNode is the one engine: it runs one rank of an SPMD execution.
+// Every rank builds the identical graph over its own full input copy,
+// then executes only its owned tasks, exchanging tile regions through
+// the configured Transport. With Gather set, non-root ranks stream their
+// owned output tiles to rank 0 so the root holds the full factorized
+// matrix. Summing CommCount/CommVolume over the ranks gives
+// sched.SimulateDistributed's prediction for the same graph and grid by
+// construction.
 //
-// ExecuteNode is the SPMD entry point for one rank of a multi-process
-// run: every process builds the identical graph over its own full input
-// copy, then executes only its owned tasks, exchanging tile regions
-// through the configured Transport. With Gather set, non-root ranks
-// stream their owned output tiles to rank 0 so the root holds the full
-// factorized matrix.
+// Execute runs all N ranks as ExecuteNode goroutines in one process,
+// over a ChanTransport. Given a replica builder (Options.Replica), rank 0
+// runs the caller's graph and the other ranks run replicas over their
+// own input copies, gathering into rank 0; without one, all ranks share
+// the caller's graph, and messages are counted but not restored. The
+// first rank error closes the transport, so the other ranks fail
+// promptly with ErrTransportClosed (or with the error notice the failing
+// rank relayed), and Execute returns the failing rank's own error.
 //
 // # Transports
 //
@@ -24,7 +30,8 @@
 // deterministic across them (see TestExecutorParityLoopbackTCP):
 //
 //   - ChanTransport: one buffered channel per node, in-process. Used by
-//     Execute and by single-process multi-node tests.
+//     Execute and by single-process multi-rank tests. A Send after Close,
+//     or one blocked when Close runs, returns ErrTransportClosed.
 //   - TCPTransport: one process per rank, a full mesh of TCP
 //     connections. Used by bidiagd's -node/-peers cluster mode.
 //

@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"container/heap"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -9,17 +9,22 @@ import (
 	"github.com/tiled-la/bidiag/internal/sched"
 )
 
-// Options configures the distributed executor.
+// Options configures the in-process distributed executor (Execute).
 type Options struct {
 	// Grid is the node grid; the executor runs Grid.Nodes() in-process
-	// nodes. Graphs whose task owners exceed the node count are folded
+	// ranks. Graphs whose task owners exceed the node count are folded
 	// onto it modulo Nodes, exactly as in SimulateDistributed.
 	Grid Grid
-	// WorkersPerNode is each node's goroutine pool size (default 1).
+	// WorkersPerNode is each rank's goroutine pool size (default 1).
 	WorkersPerNode int
 	// Transport carries inter-node messages. Nil selects the in-process
-	// ChanTransport. A non-nil transport must connect Grid.Nodes() nodes.
+	// ChanTransport. A non-nil transport must connect Grid.Nodes() nodes;
+	// Execute closes it when the run ends.
 	Transport Transport
+	// Replica, when set, builds one rank's private copy of the graph —
+	// the same tasks over its own copy of the input. Nil runs every rank
+	// on the caller's graph (see Execute).
+	Replica func() *sched.Graph
 }
 
 // Result reports a distributed execution.
@@ -48,422 +53,138 @@ type Result struct {
 	// WireBytes includes framing overhead and ordering/gather frames.
 	WireFrames int64
 	WireBytes  int64
-	// NodeBusy and NodeRecv break Busy and the per-node data-cache entry
-	// counts down by node.
+	// NodeBusy breaks Busy down by node; NodeRecv[r] is the number of
+	// data frames rank r delivered.
 	NodeBusy []time.Duration
 	NodeRecv []int
 }
 
-// execNode is one in-process node: a worker pool draining a ready heap,
-// a data cache of received payloads, and an outbox serialized through a
-// single sender goroutine (the node's NIC).
-type execNode struct {
-	id   int32
-	mu   sync.Mutex
-	cond *sync.Cond
-	// ready holds runnable tasks owned by this node, highest bottom-level
-	// priority first.
-	ready readyHeap
-	busy  time.Duration
-	// cache is the node's received-data cache: producer task ID → payload
-	// snapshot. Entries arrive exactly once per producer thanks to the
-	// sender-side dedup, mirroring the simulator's transferred map.
-	// Entries are retained for the whole run today; once kernels read
-	// their remote operands from the cache (a true multi-process
-	// transport), eviction after the last consumer becomes necessary.
-	cache map[int32][]byte
-
-	outMu     sync.Mutex
-	outCond   *sync.Cond
-	outbox    []Message
-	outClosed bool
-	// outEnq parallels outbox with enqueue timestamps when the
-	// multi-process executor tracks comm telemetry (nodeEngine.trackComm);
-	// the in-process engine leaves it empty.
-	outEnq []time.Time
-}
-
-type engine struct {
-	g     *sched.Graph
-	nodes []*execNode
-	tr    Transport
-	preds []int32
-	done  bool
-
-	statMu    sync.Mutex
-	remaining int
-	sent      map[int64]struct{} // CommKey(producer, dest) → already shipped
-	err       error
-	res       Result
-}
-
-// fail records the first fatal error and releases every worker so Execute
-// can return it.
-func (e *engine) fail(err error) {
-	e.statMu.Lock()
-	if e.err == nil {
-		e.err = err
-	}
-	e.done = true
-	e.statMu.Unlock()
-	for _, nd := range e.nodes {
-		nd.mu.Lock()
-		nd.cond.Broadcast()
-		nd.mu.Unlock()
-	}
-}
-
-// Execute runs the graph under owner-compute semantics: every task runs on
-// the node owning its output tile, and each read-after-write edge whose
-// producer lives on another node is satisfied by an explicit message. The
-// floating-point result is bitwise-identical to RunSequential: all
-// conflicting accesses are ordered by graph edges, so every datum sees the
-// same kernel sequence on any schedule.
+// Execute runs the graph under owner-compute semantics on Grid.Nodes()
+// in-process ranks, each an ExecuteNode over one shared transport: every
+// task runs on the rank owning its output tile, and every dependence
+// edge between ranks becomes a message. The floating-point result is
+// bitwise-identical to RunSequential: all conflicting accesses are
+// ordered by graph edges, so every datum sees the same kernel sequence on
+// any schedule.
+//
+// Options.Replica, when set, is called once for each rank but 0 before
+// any rank starts. Rank 0 runs g and gathers the other ranks' final
+// regions, so g's data ends bitwise-identical to a sequential run
+// although every remote operand crossed the transport as bytes. Without a replica builder all ranks run g in one address space:
+// messages are shipped and counted but their payloads are not restored.
+//
+// The per-rank Results are summed. The first rank error closes the
+// transport so that every other rank returns, and the failing rank's own
+// error — not the ErrTransportClosed failures or relayed error notices it
+// causes in the others — is returned.
 func Execute(g *sched.Graph, opt Options) (*Result, error) {
-	if err := opt.Grid.Validate(); err != nil {
+	if err := validate(g, opt.Grid); err != nil {
 		return nil, err
 	}
 	n := opt.Grid.Nodes()
-	wpn := opt.WorkersPerNode
-	if wpn < 1 {
-		wpn = 1
+	wpn := max(opt.WorkersPerNode, 1)
+	shared := opt.Replica == nil
+	graphs := make([]*sched.Graph, n)
+	graphs[0] = g
+	for r := 1; r < n; r++ {
+		graphs[r] = g
+		if !shared {
+			graphs[r] = opt.Replica()
+			if len(graphs[r].Tasks) != len(g.Tasks) {
+				return nil, fmt.Errorf("dist: replica for rank %d has %d tasks, want %d", r, len(graphs[r].Tasks), len(g.Tasks))
+			}
+		}
 	}
-	for _, t := range g.Tasks {
-		if t.Node < 0 {
-			return nil, fmt.Errorf("dist: task %d has negative owner %d", t.ID, t.Node)
+	for r, gr := range graphs {
+		if r == 0 || !shared {
+			gr.ComputeBottomLevels(sched.WeightTime)
 		}
 	}
 	tr := opt.Transport
 	if tr == nil {
 		tr = NewChanTransport(n)
 	}
-
-	e := &engine{
-		g:         g,
-		nodes:     make([]*execNode, n),
-		tr:        tr,
-		preds:     make([]int32, len(g.Tasks)),
-		remaining: len(g.Tasks),
-		sent:      map[int64]struct{}{},
-	}
-	e.res = Result{Nodes: n, WorkersPerNode: wpn, NodeBusy: make([]time.Duration, n), NodeRecv: make([]int, n)}
-	for i := range e.nodes {
-		nd := &execNode{id: int32(i), cache: map[int32][]byte{}}
-		nd.cond = sync.NewCond(&nd.mu)
-		nd.outCond = sync.NewCond(&nd.outMu)
-		e.nodes[i] = nd
-	}
-	for _, t := range g.Tasks {
-		for _, s := range t.Succs() {
-			e.preds[s.ID]++
-		}
-	}
-	g.ComputeBottomLevels(sched.WeightTime)
+	closeTransport := sync.OnceValue(tr.Close)
 
 	start := time.Now()
-	if len(g.Tasks) == 0 {
-		e.res.Wall = time.Since(start)
-		return &e.res, nil
+	results := make([]*Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r, gr := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := executeNode(gr, NodeOptions{
+				Grid: opt.Grid, WorkersPerNode: wpn, Transport: tr, Rank: r, Gather: !shared,
+			}, shared)
+			if err != nil {
+				errs[r] = err
+				// The ranks waiting on this one's frames would wait
+				// forever; a closed transport fails them promptly.
+				closeTransport()
+				return
+			}
+			results[r] = res
+		}()
 	}
-
-	var receivers, senders, workers sync.WaitGroup
-	for _, nd := range e.nodes {
-		receivers.Add(1)
-		go e.receiver(nd, &receivers)
-		senders.Add(1)
-		go e.sender(nd, &senders)
-	}
-	for _, t := range g.Tasks {
-		if e.preds[t.ID] == 0 {
-			nd := e.nodes[e.nodeOf(t)]
-			heap.Push(&nd.ready, t)
-		}
-	}
-	for _, nd := range e.nodes {
-		for w := 0; w < wpn; w++ {
-			workers.Add(1)
-			// Global worker index node*wpn+local, so a traced distributed
-			// run lays out one lane per physical worker across all nodes.
-			go e.worker(nd, int(nd.id)*wpn+w, &workers)
-		}
-	}
-	workers.Wait()
-	// All tasks ran, so every outgoing message is already enqueued; drain
-	// the NICs, then tear down the transport so receivers exit.
-	for _, nd := range e.nodes {
-		nd.outMu.Lock()
-		nd.outClosed = true
-		nd.outCond.Broadcast()
-		nd.outMu.Unlock()
-	}
-	senders.Wait()
-	if err := tr.Close(); err != nil {
+	wg.Wait()
+	closeErr := closeTransport()
+	if err := rootCause(errs); err != nil {
 		return nil, err
 	}
-	receivers.Wait()
-	if e.err != nil {
-		return nil, e.err
+	if closeErr != nil {
+		return nil, closeErr
 	}
 
-	e.res.Wall = time.Since(start)
-	e.res.TasksRun = len(g.Tasks)
-	for i, nd := range e.nodes {
-		e.res.NodeBusy[i] = nd.busy
-		e.res.Busy += nd.busy
-		e.res.NodeRecv[i] = len(nd.cache)
+	total := &Result{
+		Nodes: n, WorkersPerNode: wpn, Wall: time.Since(start),
+		NodeBusy: make([]time.Duration, n), NodeRecv: make([]int, n),
 	}
-	if e.res.Wall > 0 {
-		e.res.Utilization = float64(e.res.Busy) / (float64(n*wpn) * float64(e.res.Wall))
+	for r, res := range results {
+		total.TasksRun += res.TasksRun
+		total.Busy += res.Busy
+		total.CommCount += res.CommCount
+		total.CommVolume += res.CommVolume
+		total.PayloadBytes += res.PayloadBytes
+		total.NodeBusy[r] = res.NodeBusy[r]
+		total.NodeRecv[r] = res.NodeRecv[r]
 	}
-	return &e.res, nil
-}
-
-// nodeOf folds a task's owner onto the machine, as the simulator does.
-func (e *engine) nodeOf(t *sched.Task) int32 {
-	return t.Node % int32(len(e.nodes))
-}
-
-func (e *engine) worker(nd *execNode, id int, wg *sync.WaitGroup) {
-	defer wg.Done()
-	// Each node-pool worker owns one max-sized workspace, mirroring the
-	// shared-memory executor: the node's steady state is allocation-free.
-	ws := e.g.NewWorkspace()
-	for {
-		nd.mu.Lock()
-		for len(nd.ready) == 0 && !e.isDone() {
-			nd.cond.Wait()
-		}
-		if len(nd.ready) == 0 || e.hasFailed() {
-			nd.mu.Unlock()
-			return
-		}
-		t := heap.Pop(&nd.ready).(*sched.Task)
-		nd.mu.Unlock()
-
-		begin := time.Now()
-		if err := e.g.RunTask(t, ws, id); err != nil {
-			// A panicking kernel strands every consumer of its output;
-			// release the workers and surface the error from Execute
-			// instead of killing the process.
-			e.fail(fmt.Errorf("dist: node %d: %w", nd.id, err))
-			return
-		}
-		d := time.Since(begin)
-		nd.mu.Lock()
-		nd.busy += d
-		nd.mu.Unlock()
-
-		e.complete(t)
+	if total.Wall > 0 {
+		total.Utilization = float64(total.Busy) / (float64(n*wpn) * float64(total.Wall))
 	}
+	return total, nil
 }
 
-func (e *engine) isDone() bool {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
-	return e.done
-}
-
-func (e *engine) hasFailed() bool {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
-	return e.err != nil
-}
-
-// outMsg accumulates the message for one destination node during
-// completion processing.
-type outMsg struct {
-	dest    int32
-	bytes   int32 // first-edge volume, the figure the simulator charges
-	handles []*sched.Handle
-	enable  []int32
-}
-
-// complete propagates the effects of a finished task: snapshot the data
-// its remote consumers need, ship one deduplicated message per destination
-// node, and release local successors.
-func (e *engine) complete(t *sched.Task) {
-	tn := e.nodeOf(t)
-	succs := t.Succs()
-
-	var local []*sched.Task
-	var outs []*outMsg
-	var byDest map[int32]*outMsg
-	for i, s := range succs {
-		bytes := t.EdgeBytes(i)
-		sn := e.nodeOf(s)
-		if sn == tn || bytes == 0 {
-			// Same node, or a pure ordering edge: no data moves. (Cross-
-			// node anti-dependencies need no message in a real distributed
-			// memory either — each node updates its own copy.)
-			local = append(local, s)
+// rootCause picks, from the per-rank errors of a failed run, the one that
+// caused the others: the lowest-ranked error that is neither a closed
+// transport nor a relayed peer failure, else the lowest-ranked error. It
+// returns nil when no rank failed.
+func rootCause(errs []error) error {
+	var first error
+	for _, err := range errs {
+		if err == nil {
 			continue
 		}
-		if byDest == nil {
-			byDest = map[int32]*outMsg{}
+		var pe *peerError
+		if !errors.Is(err, ErrTransportClosed) && !errors.As(err, &pe) {
+			return err
 		}
-		m := byDest[sn]
-		if m == nil {
-			m = &outMsg{dest: sn, bytes: bytes}
-			byDest[sn] = m
-			outs = append(outs, m)
-		}
-		for _, h := range t.EdgeHandles(i) {
-			known := false
-			for _, seen := range m.handles {
-				if seen == h {
-					known = true
-					break
-				}
-			}
-			if !known {
-				m.handles = append(m.handles, h)
-			}
-		}
-		m.enable = append(m.enable, s.ID)
-	}
-
-	// Serialize payloads before any successor is released: every consumer
-	// of the regions t wrote is a successor of t, so the data is quiescent
-	// exactly until the first enable below.
-	if len(outs) > 0 {
-		snaps := map[*sched.Handle][]byte{}
-		for _, m := range outs {
-			var payload []byte
-			for _, h := range m.handles {
-				snap, ok := snaps[h]
-				if !ok {
-					snap = h.Snapshot()
-					snaps[h] = snap
-				}
-				payload = append(payload, snap...)
-			}
-			e.ship(Message{
-				From:     tn,
-				To:       m.dest,
-				Producer: t.ID,
-				Bytes:    m.bytes,
-				Payload:  payload,
-				Enable:   m.enable,
-			})
+		if first == nil {
+			first = err
 		}
 	}
-	for _, s := range local {
-		e.enable(s)
-	}
-
-	e.statMu.Lock()
-	e.remaining--
-	fin := e.remaining == 0
-	if fin {
-		e.done = true
-	}
-	e.statMu.Unlock()
-	if fin {
-		for _, nd := range e.nodes {
-			nd.mu.Lock()
-			nd.cond.Broadcast()
-			nd.mu.Unlock()
-		}
-	}
+	return first
 }
 
-// ship accounts a transfer and enqueues it on the source node's NIC. The
-// dedup key matches the simulator's transferred map, so measured CommCount
-// and CommVolume agree with SimulateDistributed for the same graph and
-// distribution.
-func (e *engine) ship(msg Message) {
-	key := sched.CommKey(msg.Producer, msg.To)
-	e.statMu.Lock()
-	if _, dup := e.sent[key]; !dup {
-		e.sent[key] = struct{}{}
-		e.res.CommCount++
-		e.res.CommVolume += float64(msg.Bytes)
-		e.res.PayloadBytes += int64(len(msg.Payload))
+// validate checks the grid and that every task has an owner.
+func validate(g *sched.Graph, grid Grid) error {
+	if err := grid.Validate(); err != nil {
+		return err
 	}
-	e.statMu.Unlock()
-
-	nd := e.nodes[msg.From]
-	nd.outMu.Lock()
-	nd.outbox = append(nd.outbox, msg)
-	nd.outCond.Signal()
-	nd.outMu.Unlock()
-}
-
-// sender is the node's NIC: it drains the outbox in FIFO order through the
-// transport, one message at a time, serializing the node's sends exactly
-// as the simulator's nicFree clock does.
-func (e *engine) sender(nd *execNode, wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		nd.outMu.Lock()
-		for len(nd.outbox) == 0 && !nd.outClosed {
-			nd.outCond.Wait()
-		}
-		if len(nd.outbox) == 0 {
-			nd.outMu.Unlock()
-			return
-		}
-		msg := nd.outbox[0]
-		nd.outbox = nd.outbox[1:]
-		nd.outMu.Unlock()
-		if err := e.tr.Send(msg); err != nil {
-			// A dead transport strands every consumer of this node's data;
-			// release the workers and surface the error from Execute.
-			e.fail(fmt.Errorf("dist: node %d transport send: %w", nd.id, err))
-			return
+	for _, t := range g.Tasks {
+		if t.Node < 0 {
+			return fmt.Errorf("dist: task %d has negative owner %d", t.ID, t.Node)
 		}
 	}
-}
-
-// receiver installs arriving payloads into the node's data cache and
-// releases the tasks each message unblocks.
-func (e *engine) receiver(nd *execNode, wg *sync.WaitGroup) {
-	defer wg.Done()
-	for msg := range e.tr.Recv(nd.id) {
-		nd.mu.Lock()
-		nd.cache[msg.Producer] = msg.Payload
-		nd.mu.Unlock()
-		for _, id := range msg.Enable {
-			e.enable(e.g.Tasks[id])
-		}
-	}
-}
-
-// enable decrements a task's predecessor count and, at zero, makes it
-// runnable on its owning node.
-func (e *engine) enable(s *sched.Task) {
-	e.statMu.Lock()
-	e.preds[s.ID]--
-	ready := e.preds[s.ID] == 0
-	e.statMu.Unlock()
-	if !ready {
-		return
-	}
-	nd := e.nodes[e.nodeOf(s)]
-	nd.mu.Lock()
-	heap.Push(&nd.ready, s)
-	nd.cond.Signal()
-	nd.mu.Unlock()
-}
-
-// readyHeap orders runnable tasks by descending bottom-level priority,
-// submission order breaking ties.
-type readyHeap []*sched.Task
-
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
-	if h[i].Prio() != h[j].Prio() {
-		return h[i].Prio() > h[j].Prio()
-	}
-	return h[i].ID < h[j].ID
-}
-func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x any)   { *h = append(*h, x.(*sched.Task)) }
-func (h *readyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+	return nil
 }

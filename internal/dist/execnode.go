@@ -3,6 +3,7 @@ package dist
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,21 +58,43 @@ type NodeOptions struct {
 	StallTimeout time.Duration
 }
 
-// nodeEngine is the per-process twin of engine: one rank's ready heap,
-// worker pool and NIC, with remote dependencies crossing a real wire in
-// both directions. Where the in-process engine only ships data edges
-// (cross-node ordering edges degenerate to local enables under one
-// address space), this engine must also ship ordering frames — a WAR/WAW
-// edge whose endpoints live in different processes has no shared counter
-// to decrement. Ordering frames carry no payload and are excluded from
-// the communication accounting, which therefore still matches
+// nodeEngine is one rank of an owner-compute execution: a worker pool
+// draining a ready heap of the rank's tasks, and an outbox serialized
+// through a single sender goroutine (the rank's NIC). Remote
+// dependencies cross the transport in both directions: data edges as
+// payload frames, and ordering edges as payload-free enable frames — a
+// WAR/WAW edge whose endpoints live on different ranks has no shared
+// counter to decrement. Ordering frames are excluded from the
+// communication accounting, which therefore matches
 // sched.SimulateDistributed exactly.
 type nodeEngine struct {
 	g     *sched.Graph
 	tr    Transport
 	rank  int32
 	nodes int32
-	nd    *execNode
+	// shared marks a rank that shares its graph's memory with the other
+	// ranks (Execute without replicas): payloads are counted but never
+	// restored, and comm events are not traced.
+	shared bool
+
+	// mu guards the scheduling state and the Result; cond wakes the
+	// workers. The workers exit once remaining reaches 0 or err is set.
+	mu        sync.Mutex
+	cond      *sync.Cond
+	ready     sched.ReadyQueue // runnable local tasks
+	preds     []int32          // unfinished predecessors, by task ID
+	remaining int              // local tasks not yet completed
+	err       error            // the first fatal error
+	busy      time.Duration
+	res       Result
+
+	outMu     sync.Mutex
+	outCond   *sync.Cond
+	outbox    []Message
+	outClosed bool
+	// outEnq parallels outbox with enqueue timestamps when trackComm is
+	// set.
+	outEnq []time.Time
 
 	// ws is the transport's optional wire accounting, asserted once at
 	// setup. links is its optional per-link telemetry. When the graph
@@ -86,14 +109,6 @@ type nodeEngine struct {
 	recvRing  *obs.Ring
 	origin    time.Time
 	trackComm bool
-
-	preds     []int32
-	statMu    sync.Mutex
-	remaining int // local tasks not yet completed
-	sent      map[int64]struct{}
-	err       error
-	finished  bool
-	res       Result
 
 	stop     chan struct{} // closed on failure or after the job drains
 	stopOnce sync.Once
@@ -118,42 +133,39 @@ type nodeEngine struct {
 // address space.
 //
 // The returned Result carries this rank's share of the communication:
-// summing CommCount/CommVolume over all ranks reproduces the in-process
-// executor's figures and the SimulateDistributed prediction.
+// summing CommCount/CommVolume over all ranks reproduces the
+// SimulateDistributed prediction.
 func ExecuteNode(g *sched.Graph, opt NodeOptions) (*Result, error) {
-	if err := opt.Grid.Validate(); err != nil {
+	if err := validate(g, opt.Grid); err != nil {
 		return nil, err
 	}
-	n := opt.Grid.Nodes()
-	if opt.Rank < 0 || opt.Rank >= n {
+	if opt.Rank < 0 || opt.Rank >= opt.Grid.Nodes() {
 		return nil, fmt.Errorf("dist: rank %d outside %s grid", opt.Rank, opt.Grid)
 	}
 	if opt.Transport == nil {
 		return nil, fmt.Errorf("dist: ExecuteNode requires a transport")
 	}
-	wpn := opt.WorkersPerNode
-	if wpn < 1 {
-		wpn = 1
-	}
-	for _, t := range g.Tasks {
-		if t.Node < 0 {
-			return nil, fmt.Errorf("dist: task %d has negative owner %d", t.ID, t.Node)
-		}
-	}
+	g.ComputeBottomLevels(sched.WeightTime)
+	return executeNode(g, opt, false)
+}
 
+// executeNode runs one rank on a validated configuration whose graph
+// already carries its bottom levels; shared is nodeEngine.shared.
+func executeNode(g *sched.Graph, opt NodeOptions, shared bool) (*Result, error) {
+	n := opt.Grid.Nodes()
+	wpn := max(opt.WorkersPerNode, 1)
 	e := &nodeEngine{
-		g:     g,
-		tr:    opt.Transport,
-		rank:  int32(opt.Rank),
-		nodes: int32(n),
-		preds: make([]int32, len(g.Tasks)),
-		sent:  map[int64]struct{}{},
-		stop:  make(chan struct{}),
+		g:      g,
+		tr:     opt.Transport,
+		rank:   int32(opt.Rank),
+		nodes:  int32(n),
+		shared: shared,
+		preds:  make([]int32, len(g.Tasks)),
+		stop:   make(chan struct{}),
 	}
 	e.res = Result{Nodes: n, WorkersPerNode: wpn, NodeBusy: make([]time.Duration, n), NodeRecv: make([]int, n)}
-	e.nd = &execNode{id: e.rank}
-	e.nd.cond = sync.NewCond(&e.nd.mu)
-	e.nd.outCond = sync.NewCond(&e.nd.outMu)
+	e.cond = sync.NewCond(&e.mu)
+	e.outCond = sync.NewCond(&e.outMu)
 	if opt.Gather && e.rank == 0 {
 		e.gatherOK = make(chan struct{})
 		e.gathers = map[int32][]byte{}
@@ -172,7 +184,6 @@ func ExecuteNode(g *sched.Graph, opt NodeOptions) (*Result, error) {
 		}
 	}
 	e.remaining = local
-	g.ComputeBottomLevels(sched.WeightTime)
 
 	var wireBase int64
 	if ws, ok := e.tr.(WireStatser); ok {
@@ -182,25 +193,21 @@ func ExecuteNode(g *sched.Graph, opt NodeOptions) (*Result, error) {
 	if ls, ok := e.tr.(LinkStatser); ok {
 		e.links = ls.Links()
 	}
-	if tr := g.Tracer; tr != nil {
+	if tr := g.Tracer; tr != nil && !shared {
 		e.origin = tr.Origin()
 		e.nicRing = tr.Ring(opt.Rank*wpn + wpn)
 		e.recvRing = tr.Ring(opt.Rank*wpn + wpn + 1)
 	}
 	e.trackComm = e.nicRing != nil || e.links != nil
 
-	// Seed the ready heap and the finished flag before any goroutine
-	// starts: a persistent mesh can already hold buffered frames for this
-	// job (staggered back-to-back cluster jobs), so the receiver may call
-	// enable() — mutating preds and pushing onto the ready heap —
-	// immediately, and would race these otherwise-unsynchronized writes.
+	// Seed the ready heap before any goroutine starts: a persistent mesh
+	// can already hold buffered frames for this job (staggered
+	// back-to-back cluster jobs), so the receiver may mutate preds and
+	// push onto the ready heap immediately.
 	for _, t := range g.Tasks {
 		if e.preds[t.ID] == 0 && e.nodeOf(t) == e.rank {
-			heap.Push(&e.nd.ready, t)
+			heap.Push(&e.ready, t)
 		}
-	}
-	if e.remaining == 0 {
-		e.finished = true
 	}
 
 	start := time.Now()
@@ -241,21 +248,21 @@ func ExecuteNode(g *sched.Graph, opt NodeOptions) (*Result, error) {
 		}
 	}
 
-	e.nd.outMu.Lock()
-	e.nd.outClosed = true
-	e.nd.outCond.Broadcast()
-	e.nd.outMu.Unlock()
+	e.outMu.Lock()
+	e.outClosed = true
+	e.outCond.Broadcast()
+	e.outMu.Unlock()
 	senders.Wait()
 	e.stopNow() // receiver exits; transport stays open for the next job
 	receivers.Wait()
-	if e.err != nil {
-		return nil, e.err
+	if err := e.currentErr(); err != nil {
+		return nil, err
 	}
 
 	e.res.Wall = time.Since(start)
 	e.res.TasksRun = local
-	e.res.NodeBusy[e.rank] = e.nd.busy
-	e.res.Busy = e.nd.busy
+	e.res.NodeBusy[e.rank] = e.busy
+	e.res.Busy = e.busy
 	if e.res.Wall > 0 {
 		e.res.Utilization = float64(e.res.Busy) / (float64(wpn) * float64(e.res.Wall))
 	}
@@ -272,67 +279,53 @@ func (e *nodeEngine) nodeOf(t *sched.Task) int32 { return t.Node % e.nodes }
 func (e *nodeEngine) stopNow() { e.stopOnce.Do(func() { close(e.stop) }) }
 
 func (e *nodeEngine) currentErr() error {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.err
 }
 
 // fail records the first fatal error, wakes the workers and stops the
 // receiver.
 func (e *nodeEngine) fail(err error) {
-	e.statMu.Lock()
+	e.mu.Lock()
 	if e.err == nil {
 		e.err = err
 	}
-	e.finished = true
-	e.statMu.Unlock()
-	e.nd.mu.Lock()
-	e.nd.cond.Broadcast()
-	e.nd.mu.Unlock()
+	e.cond.Broadcast()
+	e.mu.Unlock()
 	e.stopNow()
 }
 
 func (e *nodeEngine) worker(id int, wg *sync.WaitGroup) {
 	defer wg.Done()
 	ws := e.g.NewWorkspace()
-	nd := e.nd
 	for {
-		nd.mu.Lock()
-		for len(nd.ready) == 0 && !e.isFinished() {
-			nd.cond.Wait()
+		e.mu.Lock()
+		for len(e.ready) == 0 && e.remaining > 0 && e.err == nil {
+			e.cond.Wait()
 		}
-		if len(nd.ready) == 0 || e.currentErr() != nil {
-			nd.mu.Unlock()
+		if len(e.ready) == 0 || e.err != nil {
+			e.mu.Unlock()
 			return
 		}
-		t := heap.Pop(&nd.ready).(*sched.Task)
-		nd.mu.Unlock()
+		t := heap.Pop(&e.ready).(*sched.Task)
+		e.mu.Unlock()
 
 		begin := time.Now()
 		if err := e.g.RunTask(t, ws, id); err != nil {
 			e.fail(fmt.Errorf("dist: rank %d: %w", e.rank, err))
 			return
 		}
-		d := time.Since(begin)
-		nd.mu.Lock()
-		nd.busy += d
-		nd.mu.Unlock()
-
-		e.complete(t)
+		e.complete(t, time.Since(begin))
 	}
 }
 
-func (e *nodeEngine) isFinished() bool {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
-	return e.finished
-}
-
-// complete propagates a finished local task: enable local successors,
-// and ship one frame per remote destination node combining the payload of
-// its data edges (snapshotted before any successor may run) with every
-// enable the destination is owed — data and ordering alike.
-func (e *nodeEngine) complete(t *sched.Task) {
+// complete propagates a local task that ran for d: ship one frame per
+// remote destination node combining the payload of its data edges
+// (snapshotted before any successor may run) with every enable the
+// destination is owed — data and ordering alike — then enable the local
+// successors.
+func (e *nodeEngine) complete(t *sched.Task, d time.Duration) {
 	e.progress.Add(1)
 	succs := t.Succs()
 
@@ -361,14 +354,7 @@ func (e *nodeEngine) complete(t *sched.Task) {
 				m.bytes = bytes
 			}
 			for _, h := range t.EdgeHandles(i) {
-				known := false
-				for _, seen := range m.handles {
-					if seen == h {
-						known = true
-						break
-					}
-				}
-				if !known {
+				if !slices.Contains(m.handles, h) {
 					m.handles = append(m.handles, h)
 				}
 			}
@@ -398,70 +384,60 @@ func (e *nodeEngine) complete(t *sched.Task) {
 			})
 		}
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.busy += d
 	for _, s := range local {
-		e.enable(s)
+		e.enableLocked(s)
 	}
-
-	e.statMu.Lock()
 	e.remaining--
-	fin := e.remaining == 0
-	if fin {
-		e.finished = true
-	}
-	e.statMu.Unlock()
-	if fin {
-		e.nd.mu.Lock()
-		e.nd.cond.Broadcast()
-		e.nd.mu.Unlock()
+	if e.remaining == 0 {
+		e.cond.Broadcast()
 	}
 }
 
 // ship accounts a data transfer (ordering and out-of-band frames carry
 // Bytes 0 and are free, as in the simulator) and enqueues the frame on
-// this rank's NIC.
+// this rank's NIC. A producer ships at most one frame per destination,
+// so the count is deduplicated per (producer, destination) exactly as
+// the simulator's is.
 func (e *nodeEngine) ship(msg Message) {
 	if msg.Bytes > 0 {
-		key := sched.CommKey(msg.Producer, msg.To)
-		e.statMu.Lock()
-		if _, dup := e.sent[key]; !dup {
-			e.sent[key] = struct{}{}
-			e.res.CommCount++
-			e.res.CommVolume += float64(msg.Bytes)
-			e.res.PayloadBytes += int64(len(msg.Payload))
-		}
-		e.statMu.Unlock()
+		e.mu.Lock()
+		e.res.CommCount++
+		e.res.CommVolume += float64(msg.Bytes)
+		e.res.PayloadBytes += int64(len(msg.Payload))
+		e.mu.Unlock()
 	}
-	nd := e.nd
-	nd.outMu.Lock()
-	nd.outbox = append(nd.outbox, msg)
+	e.outMu.Lock()
+	e.outbox = append(e.outbox, msg)
 	if e.trackComm {
-		nd.outEnq = append(nd.outEnq, time.Now())
+		e.outEnq = append(e.outEnq, time.Now())
 	}
-	nd.outCond.Signal()
-	nd.outMu.Unlock()
+	e.outCond.Signal()
+	e.outMu.Unlock()
 }
 
 // sender is this rank's NIC: frames drain in FIFO order, one at a time.
 func (e *nodeEngine) sender(wg *sync.WaitGroup) {
 	defer wg.Done()
-	nd := e.nd
 	for {
-		nd.outMu.Lock()
-		for len(nd.outbox) == 0 && !nd.outClosed {
-			nd.outCond.Wait()
+		e.outMu.Lock()
+		for len(e.outbox) == 0 && !e.outClosed {
+			e.outCond.Wait()
 		}
-		if len(nd.outbox) == 0 {
-			nd.outMu.Unlock()
+		if len(e.outbox) == 0 {
+			e.outMu.Unlock()
 			return
 		}
-		msg := nd.outbox[0]
-		nd.outbox = nd.outbox[1:]
+		msg := e.outbox[0]
+		e.outbox = e.outbox[1:]
 		var enq time.Time
 		if e.trackComm {
-			enq = nd.outEnq[0]
-			nd.outEnq = nd.outEnq[1:]
+			enq = e.outEnq[0]
+			e.outEnq = e.outEnq[1:]
 		}
-		nd.outMu.Unlock()
+		e.outMu.Unlock()
 		if err := e.send(msg, enq); err != nil {
 			e.fail(fmt.Errorf("dist: rank %d transport send: %w", e.rank, err))
 			return
@@ -550,6 +526,12 @@ func (e *nodeEngine) receiver(wg *sync.WaitGroup) {
 		select {
 		case msg, ok := <-ch:
 			if !ok {
+				// A stream closed under a rank that still awaits frames
+				// means they will never come; fail instead of leaving
+				// the workers waiting.
+				if e.pending() {
+					e.fail(fmt.Errorf("dist: rank %d: receive stream closed mid-job: %w", e.rank, ErrTransportClosed))
+				}
 				return
 			}
 			var arrive time.Duration
@@ -560,7 +542,7 @@ func (e *nodeEngine) receiver(wg *sync.WaitGroup) {
 			switch {
 			case msg.Producer == ProducerError:
 				e.recordRecv(msg, arrive)
-				e.fail(fmt.Errorf("dist: rank %d failed: %s", msg.From, msg.Payload))
+				e.fail(&peerError{rank: msg.From, msg: string(msg.Payload)})
 				return
 			case msg.Producer == ProducerGather:
 				if e.gathers == nil || gathered[msg.From] {
@@ -595,60 +577,57 @@ func (e *nodeEngine) receiver(wg *sync.WaitGroup) {
 	}
 }
 
-// deliver restores a data frame's payload and releases the enabled
-// tasks. The handle enumeration replays the sender's: walk the
-// producer's edges into this rank, collecting each data edge's handles
-// first-seen order — both sides derive it from the same graph, so no
-// metadata travels on the wire.
+// deliver restores a data frame's payload, unless the rank shares the
+// producer's memory, and releases the enabled tasks. The handle
+// enumeration replays the sender's: walk the producer's edges into this
+// rank, collecting each data edge's handles in first-seen order — both
+// sides derive it from the same graph, so no metadata travels on the
+// wire.
 func (e *nodeEngine) deliver(msg Message) error {
 	t := e.g.Tasks[msg.Producer]
-	rest := msg.Payload
 	var restored []*sched.Handle
 	for i, s := range t.Succs() {
-		if e.nodeOf(s) != e.rank || t.EdgeBytes(i) == 0 {
+		if e.shared || e.nodeOf(s) != e.rank || t.EdgeBytes(i) == 0 {
 			continue
 		}
 		for _, h := range t.EdgeHandles(i) {
-			known := false
-			for _, seen := range restored {
-				if seen == h {
-					known = true
-					break
-				}
+			if !slices.Contains(restored, h) {
+				restored = append(restored, h)
 			}
-			if known {
-				continue
-			}
-			restored = append(restored, h)
-			rest = rest[h.Restore(rest):]
 		}
+	}
+	rest := msg.Payload
+	if e.shared {
+		rest = nil
+	}
+	for _, h := range restored {
+		rest = rest[h.Restore(rest):]
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("dist: rank %d: frame from task %d has %d unconsumed payload bytes", e.rank, msg.Producer, len(rest))
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if msg.Bytes > 0 {
+		e.res.NodeRecv[e.rank]++
 	}
 	for _, id := range msg.Enable {
 		if id < 0 || int(id) >= len(e.g.Tasks) {
 			return fmt.Errorf("dist: rank %d: frame enables unknown task %d", e.rank, id)
 		}
-		e.enable(e.g.Tasks[id])
+		e.enableLocked(e.g.Tasks[id])
 	}
 	return nil
 }
 
-// enable decrements a task's predecessor count and, at zero, makes it
-// runnable if this rank owns it.
-func (e *nodeEngine) enable(s *sched.Task) {
-	e.statMu.Lock()
+// enableLocked decrements a task's predecessor count and, at zero, makes
+// it runnable if this rank owns it. Callers hold e.mu.
+func (e *nodeEngine) enableLocked(s *sched.Task) {
 	e.preds[s.ID]--
-	ready := e.preds[s.ID] == 0
-	e.statMu.Unlock()
-	if !ready || e.nodeOf(s) != e.rank {
-		return
+	if e.preds[s.ID] == 0 && e.nodeOf(s) == e.rank {
+		heap.Push(&e.ready, s)
+		e.cond.Signal()
 	}
-	e.nd.mu.Lock()
-	heap.Push(&e.nd.ready, s)
-	e.nd.cond.Signal()
-	e.nd.mu.Unlock()
 }
 
 // gatherPayload concatenates the final snapshots of every datum whose
@@ -689,24 +668,46 @@ func (e *nodeEngine) watchdog(timeout time.Duration) {
 			return
 		case <-tick.C:
 			cur := e.progress.Load()
-			if cur == last {
-				gatherPending := false
-				if e.gatherOK != nil {
-					select {
-					case <-e.gatherOK:
-					default:
-						gatherPending = true
-					}
-				}
-				e.statMu.Lock()
-				stalled := (e.remaining > 0 || gatherPending) && e.err == nil
-				e.statMu.Unlock()
-				if stalled {
-					e.fail(fmt.Errorf("dist: rank %d stalled: no progress for %s (lost peer or dropped frame?)", e.rank, timeout))
-					return
-				}
+			if cur == last && e.pending() {
+				e.fail(fmt.Errorf("dist: rank %d stalled: no progress for %s (lost peer or dropped frame?)", e.rank, timeout))
+				return
 			}
 			last = cur
 		}
 	}
+}
+
+// pending reports whether this rank, not yet failed, still awaits work:
+// local tasks, or (rank 0) a peer's gather.
+func (e *nodeEngine) pending() bool {
+	gatherPending := false
+	if e.gatherOK != nil {
+		select {
+		case <-e.gatherOK:
+		default:
+			gatherPending = true
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return (e.remaining > 0 || gatherPending) && e.err == nil
+}
+
+// peerError is the failure a rank reports when a peer's ProducerError
+// frame tells it that the peer's execution failed. Msg is the peer's
+// error text; the error chain itself does not cross the transport.
+type peerError struct {
+	rank int32
+	msg  string
+}
+
+func (e *peerError) Error() string { return fmt.Sprintf("dist: rank %d failed: %s", e.rank, e.msg) }
+
+// outMsg accumulates the frame for one destination rank during
+// completion processing.
+type outMsg struct {
+	dest    int32
+	bytes   int32 // first data-edge volume, the figure the simulator charges
+	handles []*sched.Handle
+	enable  []int32
 }

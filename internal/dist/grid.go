@@ -2,8 +2,9 @@
 // bidiagonalization: a 2D block-cyclic data distribution, the hierarchical
 // (local × high-level) reduction trees of the HQR framework that the paper
 // uses on its cluster runs, and a real owner-compute executor that runs a
-// sched.Graph on N in-process nodes with cross-node dependencies satisfied
-// by explicit messages over a pluggable Transport.
+// sched.Graph on N ranks — in one process or one per process — with
+// cross-rank dependencies satisfied by explicit messages over a pluggable
+// Transport.
 //
 // The same Distribution drives three consumers that must agree with each
 // other: the task builders of internal/core (ownership stamping), the

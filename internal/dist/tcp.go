@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -328,7 +327,7 @@ func (t *TCPTransport) Send(msg Message) error {
 		case t.inbox <- msg:
 			return nil
 		case <-t.closed:
-			return errors.New("dist: tcp transport closed")
+			return ErrTransportClosed
 		}
 	}
 	if msg.To < 0 || int(msg.To) >= len(t.conns) || t.conns[msg.To] == nil {

@@ -1,6 +1,10 @@
 package dist
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"sync"
+)
 
 // Message is one inter-node transfer: the datum produced by task Producer,
 // shipped from node From to node To. Bytes is the modeled edge volume used
@@ -21,8 +25,10 @@ type Message struct {
 // Send is called from exactly one goroutine per source node (the node's
 // NIC), so implementations need only preserve per-sender FIFO order —
 // the ordering an MPI or TCP channel provides. Recv returns the receive
-// stream of a node; the channel is closed by Close once the executor has
-// drained every outbox.
+// stream of a node. Close closes every stream and makes later Sends fail;
+// a rank whose stream closes while it still awaits frames fails with
+// ErrTransportClosed, which is how Execute stops every rank after the
+// first failure.
 //
 // ChanTransport below is the in-process implementation; TCPTransport
 // (tcp.go) carries the same frames across processes, and the executor
@@ -57,25 +63,39 @@ type ClockSyncer interface {
 	ClockSyncs() []ClockSync
 }
 
+// ErrTransportClosed is returned by a Send that runs after Close, or that
+// Close interrupted. A rank whose receive stream closes mid-job fails
+// with it too, so an executor can tell these secondary failures from the
+// error that made it tear the transport down.
+var ErrTransportClosed = errors.New("dist: transport closed")
+
 // ChanTransport is the deterministic in-process transport: one buffered
 // channel per node. Payloads are copied on Send, so a received message
 // never aliases sender memory — the property a real wire format gives you
-// for free, preserved here so the executor's data cache holds genuine
-// snapshots.
+// for free, preserved here so every rank restores genuine snapshots.
 type ChanTransport struct {
 	chans []chan Message
+	// mu is held shared by every Send and exclusively by Close while it
+	// closes the channels, so no Send ever writes to a closed channel.
+	// done is closed first, releasing Sends blocked on a full channel.
+	mu        sync.RWMutex
+	closed    bool
+	done      chan struct{}
+	closeOnce sync.Once
 }
 
 // NewChanTransport returns a transport connecting the given node count.
 func NewChanTransport(nodes int) *ChanTransport {
-	t := &ChanTransport{chans: make([]chan Message, nodes)}
+	t := &ChanTransport{chans: make([]chan Message, nodes), done: make(chan struct{})}
 	for i := range t.chans {
 		t.chans[i] = make(chan Message, 64)
 	}
 	return t
 }
 
-// Send delivers msg to node msg.To, copying the payload.
+// Send delivers msg to node msg.To, copying the payload. It returns
+// ErrTransportClosed after Close, and when Close runs while it is blocked
+// on a full channel.
 func (t *ChanTransport) Send(msg Message) error {
 	if msg.To < 0 || int(msg.To) >= len(t.chans) {
 		return fmt.Errorf("dist: send to unknown node %d (have %d)", msg.To, len(t.chans))
@@ -83,17 +103,33 @@ func (t *ChanTransport) Send(msg Message) error {
 	if msg.Payload != nil {
 		msg.Payload = append([]byte(nil), msg.Payload...)
 	}
-	t.chans[msg.To] <- msg
-	return nil
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if t.closed {
+		return ErrTransportClosed
+	}
+	select {
+	case t.chans[msg.To] <- msg:
+		return nil
+	case <-t.done:
+		return ErrTransportClosed
+	}
 }
 
 // Recv returns node's receive channel.
 func (t *ChanTransport) Recv(node int32) <-chan Message { return t.chans[node] }
 
-// Close closes every receive channel; no Send may follow.
+// Close closes every receive channel; messages already queued are still
+// delivered. It is safe to call more than once.
 func (t *ChanTransport) Close() error {
-	for _, c := range t.chans {
-		close(c)
-	}
+	t.closeOnce.Do(func() {
+		close(t.done)
+		t.mu.Lock()
+		t.closed = true
+		for _, c := range t.chans {
+			close(c)
+		}
+		t.mu.Unlock()
+	})
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 	"github.com/tiled-la/bidiag/internal/tile"
 )
 
-// DistExec runs the real distributed executor on in-process nodes and
+// DistExec runs the real distributed executor on in-process ranks and
 // prints its measured communication next to the virtual-time simulator's
 // prediction for the same (graph, distribution) pair. The two must agree
 // exactly — the executor and the simulator share the dedup accounting by
@@ -61,14 +61,20 @@ func DistExec(sc Scale, nodes, gridR, gridC int) *Table {
 		tc := dist.AutoDefaults(sh, grid, 2)
 		cfg := tc.Configure()
 
-		g := sched.NewGraph()
-		data := tile.FromDense(a, c.nb)
-		if c.rbidiag {
-			core.BuildRBidiag(g, sh, data, cfg)
-		} else {
-			core.BuildBidiag(g, sh, data, cfg)
+		// Every rank builds its own graph over its own copy of the input,
+		// so each remote operand really crosses the transport.
+		build := func() *sched.Graph {
+			g := sched.NewGraph()
+			data := tile.FromDense(a, c.nb)
+			if c.rbidiag {
+				core.BuildRBidiag(g, sh, data, cfg)
+			} else {
+				core.BuildBidiag(g, sh, data, cfg)
+			}
+			return g
 		}
-		res, err := dist.Execute(g, dist.Options{Grid: grid, WorkersPerNode: 2})
+		g := build()
+		res, err := dist.Execute(g, dist.Options{Grid: grid, WorkersPerNode: 2, Replica: build})
 		if err != nil {
 			panic(fmt.Sprintf("distexec: %v", err))
 		}

@@ -2,8 +2,8 @@
 // one task graph and runs it through a single engine-agnostic executor
 // layer. It is the seam between the algorithm builders (internal/core for
 // GE2BND, internal/band for BND2BD) and the execution engines
-// (internal/sched's sequential order and worker pool, internal/dist's
-// owner-compute nodes): the public API resolves its Options into a Spec,
+// (internal/sched's sequential order and Runtime, internal/dist's
+// owner-compute ranks): the public API resolves its Options into a Spec,
 // Build turns the Spec into a Plan — one sched.Graph plus per-stage
 // bookkeeping — and Run hands the graph to whichever Executor the caller
 // selected. No entry point hand-wires an engine anymore.
@@ -26,11 +26,13 @@
 // An Executor is anything that can run a sched.Graph to completion:
 //
 //	Sequential    submission order, the numerical reference;
-//	Pool          a private shared-memory worker pool (sched.RunParallel);
+//	Pool          the graph as the only job of a private sched.Runtime
+//	              (sched.Graph.RunParallelCtx);
 //	Shared        one job among many on a process-wide sched.Runtime —
 //	              the serving engine behind internal/serve;
-//	OwnerCompute  the distributed owner-compute engine (dist.Execute)
-//	              over a block-cyclic node grid.
+//	OwnerCompute  the distributed owner-compute engine (dist.Execute):
+//	              N dist.ExecuteNode ranks over a block-cyclic node grid,
+//	              every rank but 0 on a Replica of the plan.
 //
 // Every executor yields bitwise-identical results on the same Plan: all
 // conflicting accesses are ordered by graph edges, so each datum sees

@@ -50,8 +50,8 @@ func (Sequential) Execute(ctx context.Context, g *sched.Graph) (*Report, error) 
 }
 
 // Pool executes the graph on a private shared-memory worker pool with
-// bottom-level priority scheduling. Workers ≤ 1 degenerates to the
-// sequential order (same result either way).
+// bottom-level priority scheduling (sched.Graph.RunParallelCtx). Workers
+// ≤ 1 degenerates to the sequential order (same result either way).
 type Pool struct {
 	Workers int
 }
@@ -61,13 +61,7 @@ func (p Pool) Name() string { return "pool" }
 
 // Execute implements Executor.
 func (p Pool) Execute(ctx context.Context, g *sched.Graph) (*Report, error) {
-	var err error
-	if p.Workers > 1 {
-		err = g.RunParallelCtx(ctx, p.Workers)
-	} else {
-		err = g.RunSequentialCtx(ctx)
-	}
-	if err != nil {
+	if err := g.RunParallelCtx(ctx, p.Workers); err != nil {
 		return nil, err
 	}
 	return &Report{Executor: "pool", Tasks: len(g.Tasks)}, nil
@@ -99,16 +93,17 @@ func (s Shared) Execute(ctx context.Context, g *sched.Graph) (*Report, error) {
 }
 
 // OwnerCompute executes the graph on a grid of in-process
-// distributed-memory nodes: every task runs on the node owning its
-// output tile and cross-node data dependencies travel as explicit
-// messages (dist.Execute). Cancellation is honored at admission only —
-// a distributed run, once launched, always drains its messages.
+// distributed-memory ranks: every task runs on the rank owning its
+// output tile and cross-rank dependencies travel as explicit messages
+// (dist.Execute). Cancellation is honored at admission only — a
+// distributed run, once launched, always drains its messages.
 type OwnerCompute struct {
 	Grid           dist.Grid
 	WorkersPerNode int
-	// Transport overrides the in-process channel transport (nil selects
-	// dist.NewChanTransport).
-	Transport dist.Transport
+	// Replica builds the graph of every rank but 0, each over its own
+	// copy of the input (see Replica); the executed graph then ends
+	// holding the gathered result. Nil runs all ranks on the one graph.
+	Replica func() *sched.Graph
 }
 
 // Name implements Executor.
@@ -119,7 +114,7 @@ func (d OwnerCompute) Execute(ctx context.Context, g *sched.Graph) (*Report, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := dist.Execute(g, dist.Options{Grid: d.Grid, WorkersPerNode: d.WorkersPerNode, Transport: d.Transport})
+	res, err := dist.Execute(g, dist.Options{Grid: d.Grid, WorkersPerNode: d.WorkersPerNode, Replica: d.Replica})
 	if err != nil {
 		return nil, err
 	}

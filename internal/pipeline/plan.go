@@ -91,7 +91,7 @@ func Build(spec Spec) *Plan {
 	n := min(rsh.M, rsh.N)
 	target := band.NewTarget(n, rsh.NB)
 	width := band.WindowWidth(n, spec.Window)
-	win := band.NewWindowHandles(g, n, target.KU(), width)
+	win := target.WindowHandles(g, width)
 	mark := len(g.Tasks)
 	buildAdapters(g, tap, target, win, width, n)
 	p.Stages = append(p.Stages, Stage{Name: "BANDCP", Tasks: len(g.Tasks) - mark})
@@ -99,6 +99,23 @@ func Build(spec Spec) *Plan {
 	p.finish = target.BuildSegments(g, width, win)
 	p.Stages = append(p.Stages, Stage{Name: "BND2BD", Tasks: len(g.Tasks) - mark})
 	return p
+}
+
+// Replica returns the OwnerCompute.Replica builder of spec: every call
+// builds the same plan over its own copy of spec.Data, without the
+// Recorder, which only the rank holding the caller's plan feeds. Each
+// copy is taken when the builder runs; dist.Execute runs it before any
+// rank starts, while spec.Data is still the unreduced input.
+func Replica(spec Spec) func() *sched.Graph {
+	spec.Graph = nil
+	spec.Config.Recorder = nil
+	return func() *sched.Graph {
+		s := spec
+		if s.Data != nil {
+			s.Data = s.Data.Clone()
+		}
+		return Build(s).Graph
+	}
 }
 
 // BuildBND2BD returns a stage-2-only plan: the pipelined bulge-chase
@@ -147,7 +164,9 @@ func (p *Plan) Bidiagonal() *band.Matrix {
 // (so it becomes runnable when the last stage-1 writer of those regions
 // retires, not when the whole stage drains) and writes the band columns
 // it covers into the second stage's working storage, declaring
-// write accesses on the column-window handles the chase segments read.
+// read-write accesses on the column-window handles the chase segments
+// read: an adapter writes only part of a window, so under distributed
+// memory it must first receive the rest from the window's last writer.
 func buildAdapters(g *sched.Graph, tap *core.BandTap, target *band.Target, win []*sched.Handle, width, n int) {
 	sh := tap.Shape
 	nb := sh.NB
@@ -196,12 +215,12 @@ func buildAdapters(g *sched.Graph, tap *core.BandTap, target *band.Target, win [
 	}
 }
 
-// adapterAccesses appends write accesses on the window handles covering
-// band columns [jlo, jhi) to an adapter's tile-region reads.
+// adapterAccesses appends read-write accesses on the window handles
+// covering band columns [jlo, jhi) to an adapter's tile-region reads.
 func adapterAccesses(reads []sched.Access, win []*sched.Handle, jlo, jhi, width int) []sched.Access {
 	accs := reads
 	for w := jlo / width; w <= (jhi-1)/width; w++ {
-		accs = append(accs, sched.W(win[w]))
+		accs = append(accs, sched.RW(win[w]))
 	}
 	return accs
 }

@@ -4,15 +4,14 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/tiled-la/bidiag/internal/nla"
 )
 
 // RunSafe executes the task's kernel on the given workspace, converting a
 // kernel panic into an error naming the kernel kind. Every executor —
-// sequential, pool, shared runtime, owner-compute — runs tasks through it,
-// so one bad tile fails its own graph instead of the whole process.
+// sequential, runtime, owner-compute — runs tasks through it, so one bad
+// tile fails its own graph instead of the whole process.
 func (t *Task) RunSafe(ws *nla.Workspace) (err error) {
 	if t.Run == nil {
 		return nil
@@ -63,112 +62,21 @@ func (g *Graph) RunParallel(workers int) error {
 	return g.RunParallelCtx(context.Background(), workers)
 }
 
-// RunParallelCtx is RunParallel under a context: when ctx is cancelled the
-// pool stops dispatching new tasks, waits for in-flight tasks to finish,
-// and returns ctx.Err().
+// RunParallelCtx is RunParallel under a context: when ctx is cancelled
+// dispatch stops, in-flight tasks finish, and ctx.Err() is returned. The
+// graph runs as the only job of a private Runtime; workers ≤ 1 runs
+// RunSequentialCtx instead.
 func (g *Graph) RunParallelCtx(ctx context.Context, workers int) error {
-	if workers < 1 {
-		workers = 1
+	if workers <= 1 {
+		return g.RunSequentialCtx(ctx)
 	}
-	// Fast path: an already-cancelled context runs nothing at all (the
-	// watcher below only guarantees promptness, not a zero-task start).
-	if err := ctx.Err(); err != nil {
+	rt := NewRuntime(workers)
+	defer rt.Close()
+	h, err := rt.Submit(ctx, g, JobOptions{})
+	if err != nil {
 		return err
 	}
-	g.resetExecState()
-	g.ComputeBottomLevels(WeightTime)
-
-	var (
-		mu        sync.Mutex
-		cond      = sync.NewCond(&mu)
-		ready     taskHeap
-		remaining = len(g.Tasks)
-		firstErr  error
-		stopped   bool
-	)
-	// stop abandons all undispatched work, recording the first cause.
-	// Callers hold mu.
-	stop := func(err error) {
-		if !stopped {
-			stopped = true
-			firstErr = err
-			ready = ready[:0]
-			cond.Broadcast()
-		}
-	}
-	for _, t := range g.Tasks {
-		if t.npred == 0 {
-			ready = append(ready, t)
-		}
-	}
-	heap.Init(&ready)
-
-	var watchDone chan struct{}
-	if ctx.Done() != nil {
-		watchDone = make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				mu.Lock()
-				stop(ctx.Err())
-				mu.Unlock()
-			case <-watchDone:
-			}
-		}()
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			// One max-sized arena per worker: tasks run one at a time on a
-			// worker, so they may use the whole workspace and the pool's
-			// steady state allocates nothing.
-			ws := g.NewWorkspace()
-			for {
-				mu.Lock()
-				for len(ready) == 0 && remaining > 0 && !stopped {
-					cond.Wait()
-				}
-				if remaining == 0 || stopped {
-					mu.Unlock()
-					return
-				}
-				t := heap.Pop(&ready).(*Task)
-				mu.Unlock()
-
-				err := g.RunTask(t, ws, worker)
-
-				mu.Lock()
-				remaining--
-				if err != nil {
-					stop(err)
-				}
-				if !stopped {
-					for _, s := range t.succs {
-						s.npred--
-						if s.npred == 0 {
-							heap.Push(&ready, s)
-						}
-					}
-				}
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	// The watcher writes firstErr under mu; read it the same way. A
-	// cancellation that lands after the last task completed may be
-	// reported or not — either is a faithful outcome.
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if watchDone != nil {
-		close(watchDone)
-	}
-	return err
+	return h.Wait()
 }
 
 // WeightTime values a task at its Table I weight; it is the default
@@ -241,7 +149,7 @@ func (g *Graph) SimulateFixed(workers int, timeOf func(*Task) float64) SimResult
 	g.resetExecState()
 	g.ComputeBottomLevels(timeOf)
 
-	var ready taskHeap
+	var ready ReadyQueue
 	for _, t := range g.Tasks {
 		if t.npred == 0 {
 			ready = append(ready, t)
@@ -283,20 +191,21 @@ func (g *Graph) SimulateFixed(workers int, timeOf func(*Task) float64) SimResult
 	return SimResult{Makespan: now, BusyTime: busy, Utilization: util, Tasks: done}
 }
 
-// taskHeap is a max-heap on (prio, -ID): higher bottom level first, earlier
-// submission breaking ties for determinism.
-type taskHeap []*Task
+// ReadyQueue is a container/heap max-heap on (bottom level, −ID): the
+// most critical task first, earlier submission breaking ties for
+// determinism. Every executor and simulator orders its ready tasks so.
+type ReadyQueue []*Task
 
-func (h taskHeap) Len() int { return len(h) }
-func (h taskHeap) Less(i, j int) bool {
+func (h ReadyQueue) Len() int { return len(h) }
+func (h ReadyQueue) Less(i, j int) bool {
 	if h[i].prio != h[j].prio {
 		return h[i].prio > h[j].prio
 	}
 	return h[i].ID < h[j].ID
 }
-func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*Task)) }
-func (h *taskHeap) Pop() any {
+func (h ReadyQueue) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *ReadyQueue) Push(x any)   { *h = append(*h, x.(*Task)) }
+func (h *ReadyQueue) Pop() any {
 	old := *h
 	n := len(old)
 	t := old[n-1]

@@ -6,15 +6,18 @@
 // by several engines:
 //
 //   - RunSequential: program order, the numerical reference.
-//   - RunParallel:   a goroutine worker pool with priority scheduling.
+//   - Runtime:       the one shared-memory worker loop, priority
+//     scheduling across many concurrent graphs; RunParallel runs one
+//     graph on a private Runtime.
 //   - CriticalPath:  longest weighted path (unbounded resources), used to
 //     validate the paper's Section IV formulas.
 //   - SimulateFixed: event-driven list scheduling on P virtual cores.
 //   - SimulateDistributed: multi-node list scheduling with a bandwidth/
 //     latency communication model (see simdist.go).
-//   - dist.Execute (internal/dist): real owner-compute execution on N
-//     in-process nodes, cross-node dependencies satisfied by explicit
-//     messages over a pluggable transport.
+//   - dist.ExecuteNode (internal/dist): one rank of a real owner-compute
+//     execution, cross-rank dependencies satisfied by explicit messages
+//     over a pluggable transport; dist.Execute runs N such ranks in one
+//     process.
 //
 // Tasks are deliberately compact (a few pointers and scalars) so that
 // graphs with tens of millions of tasks — the paper's largest distributed
@@ -136,7 +139,7 @@ type Graph struct {
 	bandMarks []int
 
 	// Tracer, when non-nil, receives one obs.Event per executed task from
-	// every executor (sequential, pool, shared runtime, owner-compute).
+	// every executor (sequential, runtime, owner-compute).
 	// Nil — the default — costs one pointer check per task.
 	Tracer *obs.Tracer
 
@@ -380,10 +383,6 @@ func (g *Graph) CheckAcyclic() error {
 	}
 	return nil
 }
-
-// Prio returns the task's bottom level as computed by the most recent
-// ComputeBottomLevels call.
-func (t *Task) Prio() float64 { return t.prio }
 
 // Succs returns the task's successor list (read-only use).
 func (t *Task) Succs() []*Task { return t.succs }

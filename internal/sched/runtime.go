@@ -13,9 +13,9 @@ import (
 // ErrRuntimeClosed is returned by Runtime.Submit after Close.
 var ErrRuntimeClosed = errors.New("sched: runtime closed")
 
-// Runtime is a process-wide worker pool that executes MANY task graphs
-// concurrently — the serving counterpart of RunParallel's one-shot pool.
-// Each Submit admits one graph as a job with its own ready heap; the
+// Runtime is the shared-memory worker pool: it executes MANY task graphs
+// concurrently, and RunParallel runs a single graph as the only job of a
+// private one. Each Submit admits one graph as a job with its own ready heap; the
 // shared workers pick across jobs by weighted fair share (smallest virtual
 // time first) and within a job by bottom-level priority, so several small
 // DAGs keep the machine saturated where one would not — the many-graph
@@ -63,7 +63,7 @@ type JobHandle struct {
 	g   *Graph
 	ctx context.Context
 
-	ready    taskHeap
+	ready    ReadyQueue
 	inflight int // dispatched, not yet finished
 	undone   int // not yet finished (dispatched or not)
 	vtime    float64
@@ -223,10 +223,10 @@ func (h *JobHandle) finishedLocked() bool {
 // finishIfDoneLocked retires the job when no work remains: all tasks
 // finished, or the job is stopped and its in-flight tasks drained.
 func (rt *Runtime) finishIfDoneLocked(h *JobHandle) {
-	if h.finishedLocked() {
+	if h.undone > 0 && !(h.stopped && h.inflight == 0) {
 		return
 	}
-	if h.undone > 0 && !(h.stopped && h.inflight == 0) {
+	if h.finishedLocked() {
 		return
 	}
 	for i, j := range rt.jobs {
@@ -296,7 +296,8 @@ func (rt *Runtime) worker(id int) {
 		blocking := h.g.Blocking
 		rt.mu.Unlock()
 
-		if ws.EnsureCap(need); ws.Cap() != int(atomic.LoadInt64(&rt.wsBytes[id]))/8 {
+		if need > ws.Cap() {
+			ws.EnsureCap(need)
 			atomic.StoreInt64(&rt.wsBytes[id], int64(ws.Cap())*8)
 		}
 		ws.Blocking = blocking

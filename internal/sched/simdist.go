@@ -73,7 +73,7 @@ func (g *Graph) SimulateDistributed(cfg DistConfig) DistResult {
 	nodeOf := func(t *Task) int32 { return t.Node % int32(cfg.Nodes) }
 
 	type nodeState struct {
-		ready   taskHeap
+		ready   ReadyQueue
 		free    int
 		busy    float64
 		nicFree float64

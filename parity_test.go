@@ -12,6 +12,7 @@ import (
 	"github.com/tiled-la/bidiag/internal/jacobi"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/obs"
+	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/sched"
 	"github.com/tiled-la/bidiag/internal/tile"
 )
@@ -203,6 +204,85 @@ func TestExecutorParityLoopbackTCP(t *testing.T) {
 				}
 			}
 			diffTiles(t, "ExecuteNode over TCP with tracing ON vs RunSequential", refData, touts[0])
+		})
+	}
+}
+
+// TestFusedParityLoopbackTCP is the loopback-TCP ExecuteNode leg for a
+// fused plan. The BANDCP adapters of different ranks each write part of
+// one stage-2 column window, so a window reaches the next writer and the
+// chase segments only as payload: rank 0's gathered bidiagonal must
+// still be BITWISE-identical to a sequential run of the same plan.
+func TestFusedParityLoopbackTCP(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	cases := []struct {
+		m, n, nb int
+		useR     bool
+		grid     dist.Grid
+	}{
+		{120, 84, 32, false, dist.Grid{R: 2, C: 2}},
+		{130, 70, 32, true, dist.Grid{R: 3, C: 1}},
+	}
+	for _, tc := range cases {
+		name := fmt.Sprintf("%dx%d/useR=%v/grid=%dx%d", tc.m, tc.n, tc.useR, tc.grid.R, tc.grid.C)
+		t.Run(name, func(t *testing.T) {
+			src := nla.RandomMatrix(rng, tc.m, tc.n)
+			const wpn = 2
+			build := func() *pipeline.Plan {
+				sh := core.ShapeOf(tc.m, tc.n, tc.nb)
+				return pipeline.Build(pipeline.Spec{
+					Shape: sh, Data: tile.FromDense(src, tc.nb), RBidiag: tc.useR, Fused: true,
+					Config: dist.AutoDefaults(sh, tc.grid, wpn).Configure(),
+				})
+			}
+			ref := build()
+			if err := ref.Graph.RunSequential(); err != nil {
+				t.Fatal(err)
+			}
+			wantD, wantE := ref.Bidiagonal().Bidiagonal()
+
+			nodes := tc.grid.Nodes()
+			trs, err := dist.LoopbackTCPMesh(nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, tr := range trs {
+					tr.Close()
+				}
+			}()
+			plans := make([]*pipeline.Plan, nodes)
+			errs := make([]error, nodes)
+			var wg sync.WaitGroup
+			for rank := 0; rank < nodes; rank++ {
+				plans[rank] = build()
+				wg.Add(1)
+				go func(rank int) {
+					defer wg.Done()
+					_, errs[rank] = dist.ExecuteNode(plans[rank].Graph, dist.NodeOptions{
+						Grid: tc.grid, WorkersPerNode: wpn,
+						Transport: trs[rank], Rank: rank,
+						Gather: true, StallTimeout: 60 * time.Second,
+					})
+				}(rank)
+			}
+			wg.Wait()
+			for rank, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", rank, err)
+				}
+			}
+			gotD, gotE := plans[0].Bidiagonal().Bidiagonal()
+			for i := range wantD {
+				if gotD[i] != wantD[i] {
+					t.Fatalf("diagonal %d differs bitwise: %v != %v", i, gotD[i], wantD[i])
+				}
+			}
+			for i := range wantE {
+				if gotE[i] != wantE[i] {
+					t.Fatalf("superdiagonal %d differs bitwise: %v != %v", i, gotE[i], wantE[i])
+				}
+			}
 		})
 	}
 }
