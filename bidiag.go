@@ -72,6 +72,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -134,10 +135,11 @@ func (t Tree) kind() (trees.Kind, error) {
 }
 
 // BND2BD selects the implementation of the pipeline's second stage, the
-// band-to-bidiagonal bulge chase. Both implementations apply the same
-// Givens rotations in a sequentially consistent order, so their results
-// are bitwise-identical; the switch exists to force the single-threaded
-// reference (as a baseline or oracle) and to pin the pipeline in tests.
+// band-to-bidiagonal Householder bulge chase. Both implementations apply
+// the same reflectors in a sequentially consistent order, so their
+// results are bitwise-identical; the switch exists to force the
+// single-threaded reference (as a baseline or oracle) and to pin the
+// pipeline in tests.
 type BND2BD int
 
 const (
@@ -227,10 +229,11 @@ type Options struct {
 	// reference. The two are bitwise-identical.
 	BND2BD BND2BD
 	// BND2BDWindow is the column width of the wavefront windows the
-	// pipelined BND2BD stage is cut into (both staged and fused).
-	// 0 selects the default (about n/16, clamped to [32, 512]); narrower
-	// windows deepen the pipeline at the cost of more, finer tasks.
-	// Negative values are rejected.
+	// pipelined BND2BD stage declares its dependences on (both staged and
+	// fused); each chase task covers a whole number of windows spanning
+	// about two chase steps. 0 selects the default (about n/16, clamped
+	// to [32, 512]); narrower windows deepen the pipeline at the cost of
+	// finer dependences. Negative values are rejected.
 	BND2BDWindow int
 	// Fused executes SingularValues as ONE fused task graph: the BND2BD
 	// chase segments are emitted into the same DAG as the GE2BND kernels,
@@ -446,13 +449,36 @@ func distPlan(d *DistOptions, opts Options, m, n int) (dist.Grid, int, error) {
 	return grid, wpn, grid.Validate()
 }
 
+// ErrNonFinite is returned (wrapped, match it with errors.Is) by
+// SingularValues, SVD, GE2BND and Service jobs when the input matrix
+// holds a NaN or an infinite entry: no singular value is defined for
+// it, so the input is rejected before any work is scheduled.
+var ErrNonFinite = errors.New("bidiag: matrix has a non-finite entry")
+
+// checkFinite returns ErrNonFinite, naming the first offending entry,
+// when a holds a NaN or ±Inf.
+func checkFinite(a *nla.Matrix) error {
+	for j := 0; j < a.Cols; j++ {
+		for i, v := range a.Data[j*a.LD : j*a.LD+a.Rows] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: a(%d, %d) = %v", ErrNonFinite, i, j, v)
+			}
+		}
+	}
+	return nil
+}
+
 // prepare is the shared prologue of every public entry point: option
-// validation (Validate is the one consolidated checking path), planner
-// resolution of Options.Auto, reduction-tree resolution, the implicit
-// transpose of wide inputs (m < n), and the empty-matrix check.
+// validation (Validate is the one consolidated checking path), the
+// non-finite input scan, planner resolution of Options.Auto,
+// reduction-tree resolution, the implicit transpose of wide inputs
+// (m < n), and the empty-matrix check.
 func prepare(a *Dense, o *Options) (opts Options, src *nla.Matrix, treeKind trees.Kind, transposed bool, err error) {
 	opts, err = o.Validate()
 	if err != nil {
+		return opts, nil, 0, false, err
+	}
+	if err := checkFinite(a.inner); err != nil {
 		return opts, nil, 0, false, err
 	}
 	src = a.inner

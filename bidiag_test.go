@@ -1,6 +1,8 @@
 package bidiag
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -255,7 +257,7 @@ func TestOptionsDefaults(t *testing.T) {
 // TestBND2BDWindowOption pins the satellite knob: a negative window is
 // rejected by every entry point, and any positive window yields bitwise
 // the same singular values as the default (the window moves task
-// boundaries, never rotations).
+// boundaries, never reflectors).
 func TestBND2BDWindowOption(t *testing.T) {
 	a := randomDense(31, 70, 50)
 	if _, err := GE2BND(a, &Options{BND2BDWindow: -3}); err == nil {
@@ -336,5 +338,37 @@ func TestPipelineCriticalPath(t *testing.T) {
 	}
 	if _, _, _, err := PipelineCriticalPath(Greedy, 256, 256, 32, -1); err == nil {
 		t.Fatalf("negative window must be rejected")
+	}
+}
+
+// TestNonFiniteInputRejected pins the input contract for NaN and ±Inf
+// entries: every entry point returns ErrNonFinite instead of finite
+// singular values (a +Inf entry) or a QR non-convergence (a NaN entry).
+func TestNonFiniteInputRejected(t *testing.T) {
+	svc := NewService(&ServiceConfig{Workers: 2})
+	defer svc.Close()
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, shape := range [][2]int{{128, 128}, {40, 90}} {
+			a := randomDense(9, shape[0], shape[1])
+			a.Set(shape[0]/2, shape[1]-1, bad)
+			check := func(entry string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrNonFinite) {
+					t.Errorf("%v in %dx%d: %s returned %v, want ErrNonFinite", bad, shape[0], shape[1], entry, err)
+				}
+			}
+			_, err := SingularValues(a, nil)
+			check("SingularValues", err)
+			_, err = SingularValues(a, &Options{Auto: true, Workers: 2})
+			check("SingularValues(Auto)", err)
+			_, err = SVD(a, nil)
+			check("SVD", err)
+			_, err = GE2BND(a, &Options{Distributed: &DistOptions{Nodes: 2}})
+			check("GE2BND(Distributed)", err)
+			for _, kind := range []JobKind{JobSingularValues, JobSVD} {
+				_, err = svc.Do(context.Background(), JobRequest{Kind: kind, A: a})
+				check("Service.Do", err)
+			}
+		}
 	}
 }

@@ -8,9 +8,10 @@
 //	benchguard -ref BENCH_bnd2bd_4096.json -new out/BENCH_bnd2bd_4096.json -tol 0.25
 //	benchguard -ref BENCH_kernels_apply.json -new out/BENCH_kernels_apply.json
 //
-// Records with a kernels array (bidiagbench -stage apply) are gated
-// entry by entry as well as on the aggregate rate, so one kernel
-// regressing cannot hide behind the others improving.
+// Records with a kernels array (bidiagbench -stage apply) or a stages
+// array (bidiagbench -stage full) are gated entry by entry as well as on
+// the aggregate rate, so one kernel or stage regressing cannot hide
+// behind the others improving.
 //
 // Improvements always pass; the checked-in record is only refreshed
 // deliberately, so the trajectory of committed numbers changes only on
@@ -50,6 +51,10 @@ type record struct {
 	// regressing cannot hide behind the aggregate.
 	Kernels []kernelRate `json:"kernels"`
 
+	// Stages carries the per-stage ledger of a -stage full record
+	// (GE2BND, BND2BD, BD2VAL), gated entry by entry like Kernels.
+	Stages []stageRate `json:"stages"`
+
 	// Reconcile carries the model-vs-measured telemetry bidiagbench
 	// attaches to shared-memory records, CommFit and CommReconcile the
 	// measured α-β communication model of a commcal cluster record. All
@@ -65,6 +70,66 @@ type record struct {
 type kernelRate struct {
 	Kernel string  `json:"kernel"`
 	GFlops float64 `json:"gflops"`
+}
+
+// stageRate mirrors one entry of a -stage full record's stages array.
+type stageRate struct {
+	Stage  string  `json:"stage"`
+	GFlops float64 `json:"gflops"`
+}
+
+// entry is one named rate of a kernels or stages array.
+type entry struct {
+	name   string
+	gflops float64
+}
+
+// gateEntries checks that every entry the reference tracks is present
+// in the fresh record and within tolerance of its reference rate. It
+// reports whether any entry failed.
+func gateEntries(what string, ref, got []entry, tol float64) (failed bool) {
+	fresh := map[string]float64{}
+	for _, e := range got {
+		fresh[e.name] = e.gflops
+	}
+	for _, re := range ref {
+		g, ok := fresh[re.name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "benchguard: %s %s in reference but missing from new record\n", what, re.name)
+			failed = true
+			continue
+		}
+		if re.gflops <= 0 || g <= 0 {
+			fmt.Fprintf(os.Stderr, "benchguard: %s %s has non-positive gflops (ref %.2f, new %.2f)\n",
+				what, re.name, re.gflops, g)
+			failed = true
+			continue
+		}
+		r := g / re.gflops
+		fmt.Printf("  %-6s: %.2f GFLOP/s vs reference %.2f (%.0f%%)\n", re.name, g, re.gflops, 100*r)
+		if r < 1-tol {
+			fmt.Fprintf(os.Stderr, "benchguard: %s %s regressed %.0f%% (> %.0f%% allowed)\n",
+				what, re.name, 100*(1-r), 100*tol)
+			failed = true
+		}
+	}
+	return failed
+}
+
+func kernelEntries(ks []kernelRate) []entry {
+	out := make([]entry, len(ks))
+	for i, k := range ks {
+		out[i] = entry{k.Kernel, k.GFlops}
+	}
+	return out
+}
+
+func stageEntries(ss []stageRate) []entry {
+	out := make([]entry, len(ss))
+	for i, s := range ss {
+		out[i] = entry{s.Stage, s.GFlops}
+	}
+	return out
 }
 
 // rate returns the record's guarded figure: throughput records (batch
@@ -159,33 +224,14 @@ func main() {
 			unit, 100*(1-ratio), 100**tol)
 		failed = true
 	}
-	// Per-kernel gates of an apply record: every kernel the reference
-	// tracks must be present in the fresh record and within tolerance.
-	newKernels := map[string]kernelRate{}
-	for _, k := range got.Kernels {
-		newKernels[k.Kernel] = k
+	// Per-entry gates of an apply or full record: every kernel or stage
+	// the reference tracks must be present in the fresh record and
+	// within tolerance.
+	if gateEntries("kernel", kernelEntries(ref.Kernels), kernelEntries(got.Kernels), *tol) {
+		failed = true
 	}
-	for _, rk := range ref.Kernels {
-		nk, ok := newKernels[rk.Kernel]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchguard: kernel %s in reference but missing from new record\n", rk.Kernel)
-			failed = true
-			continue
-		}
-		if rk.GFlops <= 0 || nk.GFlops <= 0 {
-			fmt.Fprintf(os.Stderr, "benchguard: kernel %s has non-positive gflops (ref %.2f, new %.2f)\n",
-				rk.Kernel, rk.GFlops, nk.GFlops)
-			failed = true
-			continue
-		}
-		kr := nk.GFlops / rk.GFlops
-		fmt.Printf("  %-6s: %.2f GFLOP/s vs reference %.2f (%.0f%%)\n",
-			rk.Kernel, nk.GFlops, rk.GFlops, 100*kr)
-		if kr < 1-*tol {
-			fmt.Fprintf(os.Stderr, "benchguard: kernel %s regressed %.0f%% (> %.0f%% allowed)\n",
-				rk.Kernel, 100*(1-kr), 100**tol)
-			failed = true
-		}
+	if gateEntries("stage", stageEntries(ref.Stages), stageEntries(got.Stages), *tol) {
+		failed = true
 	}
 	if failed {
 		os.Exit(1)

@@ -33,15 +33,18 @@
 // BENCH_*.json performance trajectory is tracked in. With -stage bnd2bd
 // the timed run is the pipelined second stage instead: an n×n band of
 // bandwidth -ku reduced to bidiagonal form on the task runtime, rated
-// against the data-independent rotation-flop model. With -stage full the
-// timed run is the fused end-to-end pipeline (Options.Fused): GE2BND and
-// BND2BD in one task graph plus the bidiagonal QR iteration, rated
-// against the sum of the GE2BND flop count and the BND2BD rotation-flop
-// model (-staged times the barrier path instead, for comparison). With
-// -stage batch the timed run is serving throughput: -jobs ragged small
-// matrices (dimensions in [n/2, n]) through one bidiag.Service,
-// gang-batched concurrent submission rated in jobs/s (plus client p50/p99
-// latency) against one-call-at-a-time submission on the same pool. With
+// against the fixed BND2BD count 6·n²·ku (band.ModelFlops). With -stage
+// full the timed run is the fused end-to-end pipeline (Options.Fused):
+// GE2BND and BND2BD in one task graph plus the bidiagonal QR iteration,
+// rated against the sum of the GE2BND flop count and the BND2BD count
+// (-staged times the barrier path instead, for comparison); the record
+// also carries a stages array — GE2BND, BND2BD and BD2VAL seconds and
+// GFLOP/s from one staged pass — which cmd/benchguard gates entry by
+// entry. With -stage batch the timed run is serving throughput: -jobs
+// ragged small matrices (dimensions in [n/2, n]) through one
+// bidiag.Service, gang-batched concurrent submission rated in jobs/s
+// (plus client p50/p99 latency) against one-call-at-a-time submission on
+// the same pool. With
 // -stage apply the timed run is the four Householder-apply kernels in
 // isolation (UNMQR, TSMQR, UNMLQ, TSMLQ at tile size -nb, the compact-WY
 // hot path the AVX2 micro-kernels accelerate): each is rated in GFLOP/s
@@ -66,11 +69,13 @@ import (
 	"github.com/tiled-la/bidiag"
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/baseline"
+	"github.com/tiled-la/bidiag/internal/bdsqr"
 	"github.com/tiled-la/bidiag/internal/critpath"
 	"github.com/tiled-la/bidiag/internal/experiments"
 	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/machine"
 	"github.com/tiled-la/bidiag/internal/nla"
+	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/sched"
 	"github.com/tiled-la/bidiag/internal/trees"
 )
@@ -200,6 +205,10 @@ type perfResult struct {
 	// Kernels are the per-kernel rates of a -stage apply run; nil for
 	// every other stage. benchguard compares entries by name.
 	Kernels []kernelRate `json:"kernels,omitempty"`
+
+	// Stages is the per-stage ledger of a -stage full run; nil for every
+	// other stage. benchguard compares entries by name.
+	Stages []stageRate `json:"stages,omitempty"`
 
 	// Reconcile is the model-vs-measured report of one extra traced rep
 	// (shared-memory ge2bnd runs only): the simulated makespan of the
@@ -464,9 +473,9 @@ func writeResult(res perfResult, jsonPath string) error {
 
 // runPerfBND2BD times the pipelined second stage on a random n×n band of
 // bandwidth ku (the shape GE2BND emits for nb = ku): graph build +
-// execution on `workers` workers, best of reps, rated against the
-// rotation-flop model so the GFLOP/s figure is comparable across
-// machines and commits.
+// execution on `workers` workers, best of reps, rated against the fixed
+// count band.ModelFlops so the GFLOP/s figure is comparable across
+// machines, commits and chase algorithms.
 func runPerfBND2BD(n, ku, workers, reps int, jsonPath string) error {
 	if reps < 1 {
 		reps = 1
@@ -477,7 +486,6 @@ func runPerfBND2BD(n, ku, workers, reps int, jsonPath string) error {
 		Experiment: "bnd2bd", M: n, N: n, KU: ku, Workers: workers, Reps: reps,
 	}
 	best := time.Duration(1<<63 - 1)
-	var flops float64
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		g := sched.NewGraph()
@@ -494,10 +502,9 @@ func runPerfBND2BD(n, ku, workers, reps int, jsonPath string) error {
 			best = wall
 		}
 		res.Tasks = len(g.Tasks)
-		flops = g.Summary().TotalFlops // identical to band.ModelFlops(n, ku)
 	}
 	res.WallSeconds = best.Seconds()
-	res.GFlops = flops / 1e9 / res.WallSeconds
+	res.GFlops = band.ModelFlops(n, ku) / 1e9 / res.WallSeconds
 	fmt.Printf("BND2BD n=%d ku=%d workers=%d: %.3fs  %.2f GFLOP/s  (%d tasks, best of %d)\n",
 		n, ku, workers, res.WallSeconds, res.GFlops, res.Tasks, reps)
 	return writeResult(res, jsonPath)
@@ -507,8 +514,10 @@ func runPerfBND2BD(n, ku, workers, reps int, jsonPath string) error {
 // (GE2BND + BND2BD + BD2VAL) through the public API — fused into one
 // task graph by default, or staged behind a barrier with -staged — and
 // rates it against the modeled flops of both reduction stages (the
-// GE2BND operation count plus the BND2BD rotation model; the closing QR
+// GE2BND operation count plus the BND2BD count; the closing QR
 // iteration rides along in the wall time as it does for every user).
+// Each rep also times one staged pass stage by stage (stagedPass); the
+// pass with the least total time fills the record's stages array.
 func runPerfFull(m, n, nb, workers, window, reps int, fused bool, jsonPath string) error {
 	if reps < 1 {
 		reps = 1
@@ -533,6 +542,7 @@ func runPerfFull(m, n, nb, workers, window, reps int, fused bool, jsonPath strin
 	}
 	best := time.Duration(1<<63 - 1)
 	var nsv int
+	var stages [3]time.Duration
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		sv, err := bidiag.SingularValues(a, opts)
@@ -543,6 +553,13 @@ func runPerfFull(m, n, nb, workers, window, reps int, fused bool, jsonPath strin
 		nsv = len(sv)
 		if wall < best {
 			best = wall
+		}
+		pass, err := stagedPass(a, *opts)
+		if err != nil {
+			return err
+		}
+		if r == 0 || pass[0]+pass[1]+pass[2] < stages[0]+stages[1]+stages[2] {
+			stages = pass
 		}
 	}
 	if nsv != cols {
@@ -557,7 +574,58 @@ func runPerfFull(m, n, nb, workers, window, reps int, fused bool, jsonPath strin
 	}
 	fmt.Printf("GE2VAL %dx%d nb=%d workers=%d %s: %.3fs  %.2f GFLOP/s  (best of %d)\n",
 		m, n, nb, workers, mode, res.WallSeconds, res.GFlops, reps)
+	stageFlops := [3]float64{
+		baseline.PaperFlops(rows, cols),
+		band.ModelFlops(cols, nb),
+		30 * float64(cols) * float64(cols), // machine.BD2VALTime's count
+	}
+	for k, name := range [3]string{"GE2BND", "BND2BD", "BD2VAL"} {
+		s := stageRate{Stage: name, WallSeconds: stages[k].Seconds(), GFlops: stageFlops[k] / 1e9 / stages[k].Seconds()}
+		res.Stages = append(res.Stages, s)
+		fmt.Printf("  staged %-6s %.3fs  %.2f GFLOP/s\n", name, s.WallSeconds, s.GFlops)
+	}
 	return writeResult(res, jsonPath)
+}
+
+// stageRate is one entry of a -stage full record's stages array: one
+// stage's seconds and rate in the recorded staged pass.
+type stageRate struct {
+	Stage       string  `json:"stage"`
+	WallSeconds float64 `json:"wall_seconds"`
+	GFlops      float64 `json:"gflops"`
+}
+
+// stagedPass runs the singular value pipeline once more, staged, and
+// times its three stages separately: GE2BND through the public API, the
+// pipelined BND2BD on the resulting band (the copy out of the public
+// Band is not timed), and the bidiagonal QR iteration.
+func stagedPass(a *bidiag.Dense, opts bidiag.Options) (secs [3]time.Duration, err error) {
+	opts.Fused = false
+	start := time.Now()
+	b, err := bidiag.GE2BND(a, &opts)
+	if err != nil {
+		return secs, err
+	}
+	secs[0] = time.Since(start)
+	bm := band.New(b.N(), b.Bandwidth())
+	for i := 0; i < bm.N; i++ {
+		for j := i; j <= min(i+bm.KU, bm.N-1); j++ {
+			bm.Set(i, j, b.At(i, j))
+		}
+	}
+	start = time.Now()
+	p := pipeline.BuildBND2BD(bm, opts.BND2BDWindow)
+	if _, err := pipeline.Run(p, pipeline.Pool{Workers: opts.Workers}); err != nil {
+		return secs, err
+	}
+	d, e := p.Bidiagonal().Bidiagonal()
+	secs[1] = time.Since(start)
+	start = time.Now()
+	if _, err := bdsqr.SingularValues(d, e); err != nil {
+		return secs, err
+	}
+	secs[2] = time.Since(start)
+	return secs, nil
 }
 
 // runPerfBatch measures serving throughput over a ragged small-matrix

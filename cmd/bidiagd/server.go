@@ -236,18 +236,16 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request, kind bidiag.J
 	begin := time.Now()
 	res, err := s.svc.Do(r.Context(), bidiag.JobRequest{Kind: kind, A: a, Opts: opts, Trace: trace})
 	if err != nil {
+		code := httpapi.ErrorStatus(err)
 		switch {
-		case errors.Is(err, bidiag.ErrOverloaded):
+		case code == http.StatusTooManyRequests:
 			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, bidiag.ErrServiceClosed):
-			httpError(w, http.StatusServiceUnavailable, err)
-		case r.Context().Err() != nil:
+		case code == http.StatusInternalServerError && r.Context().Err() != nil:
 			// The client went away; nothing useful to write.
 			log.Printf("job cancelled: %v", err)
-		default:
-			httpError(w, http.StatusInternalServerError, err)
+			return
 		}
+		httpError(w, code, err)
 		return
 	}
 	ms := float64(time.Since(begin)) / float64(time.Millisecond)

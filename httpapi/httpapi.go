@@ -14,16 +14,19 @@
 // Both POST endpoints accept ?trace=1 to record the job's per-task
 // timeline; the response's job_id then keys /debug/trace/{job_id}.
 // Errors are returned as an ErrorResponse body with a non-2xx status:
-// 400 for malformed requests, 413 for oversized bodies, 429 (with
-// Retry-After) when the daemon's admission queues are full, 503 when it
-// is shutting down.
+// 400 for malformed requests and for matrices with a non-finite entry,
+// 413 for oversized bodies, 429 (with Retry-After) when the daemon's
+// admission queues are full, 503 when it is shutting down. ErrorStatus
+// maps a job error to its status.
 //
 // The JSON forms here are pinned by golden-request tests: changing a
 // field or tag is a wire-protocol break and needs a new version prefix.
 package httpapi
 
 import (
+	"errors"
 	"fmt"
+	"net/http"
 
 	"github.com/tiled-la/bidiag"
 )
@@ -87,6 +90,21 @@ type SVDResponse struct {
 // ErrorResponse is the body of every non-2xx response.
 type ErrorResponse struct {
 	Error string `json:"error"`
+}
+
+// ErrorStatus returns the HTTP status of a failed job: 400 for input the
+// library rejects (bidiag.ErrNonFinite), 429 when the service is
+// overloaded, 503 when it is closed, 500 for everything else.
+func ErrorStatus(err error) int {
+	switch {
+	case errors.Is(err, bidiag.ErrNonFinite):
+		return http.StatusBadRequest
+	case errors.Is(err, bidiag.ErrOverloaded):
+		return http.StatusTooManyRequests
+	case errors.Is(err, bidiag.ErrServiceClosed):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
 }
 
 // ToOptions lowers the wire options to bidiag.Options via the library's

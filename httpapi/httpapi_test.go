@@ -2,6 +2,9 @@ package httpapi_test
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -165,5 +168,24 @@ func TestCacheKeyStable(t *testing.T) {
 	}
 	if bidiag.CacheKey(bidiag.JobSingularValues, a, &bidiag.Options{NB: 32}) == k1 {
 		t.Fatal("key ignores options")
+	}
+}
+
+// TestErrorStatus pins the status mapping of job errors: input the
+// library rejects is a client error, never a 500.
+func TestErrorStatus(t *testing.T) {
+	cases := []struct {
+		err  error
+		want int
+	}{
+		{fmt.Errorf("job 3: %w", bidiag.ErrNonFinite), http.StatusBadRequest},
+		{bidiag.ErrOverloaded, http.StatusTooManyRequests},
+		{fmt.Errorf("submit: %w", bidiag.ErrServiceClosed), http.StatusServiceUnavailable},
+		{errors.New("bdsqr: no convergence"), http.StatusInternalServerError},
+	}
+	for _, c := range cases {
+		if got := httpapi.ErrorStatus(c.err); got != c.want {
+			t.Errorf("ErrorStatus(%v) = %d, want %d", c.err, got, c.want)
+		}
 	}
 }

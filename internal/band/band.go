@@ -1,10 +1,12 @@
 // Package band implements upper-band matrix storage and the BND2BD stage
-// of the singular value pipeline: the Givens-rotation bulge-chasing
+// of the singular value pipeline: the Householder bulge-chasing
 // reduction from band-bidiagonal form (the output of the tiled GE2BND
-// algorithms) to proper bidiagonal form. It substitutes for the PLASMA
-// band-reduction kernels used in the paper's experiments.
+// algorithms) to proper bidiagonal form. It follows the PLASMA
+// band-reduction kernels used in the paper's experiments: one pass of
+// sweeps over a column-packed band, each sweep a chain of reflector
+// pairs of length ≤ KU (reduce.go).
 //
-// Two implementations share the same rotation kernels and produce
+// Two implementations share the same chase-step kernel and produce
 // bitwise-identical results: Reduce, the single-threaded sweep-major
 // reference, and the pipelined decomposition of the sweeps into caravan
 // chase segments over fixed-width column windows, executed as a
@@ -26,7 +28,7 @@ import (
 
 // Matrix is an n×n upper-band matrix with KU stored superdiagonals:
 // element (i, j) may be nonzero only when 0 ≤ j−i ≤ KU. Storage is by
-// diagonals so the bulge-chasing sweeps access memory contiguously.
+// diagonals; the reduction works on its own column-packed copy.
 type Matrix struct {
 	N, KU int
 	// diags[s][i] holds element (i, i+s) for 0 ≤ s ≤ KU, 0 ≤ i < N−s.

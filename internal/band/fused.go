@@ -39,7 +39,7 @@ func (t *Target) Set(i, j int, v float64) {
 	if s < 0 || s > t.w.ku || i < 0 || j >= t.w.n {
 		panic("band: Target.Set outside band")
 	}
-	t.w.diags[s+1][i] = v
+	t.w.a[j*t.w.ld+t.w.up-s] = v
 }
 
 // WindowHandles registers the per-window data handles of the reduction

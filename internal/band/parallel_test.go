@@ -6,11 +6,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/sched"
 )
 
 // The pipelined reduction promises BITWISE identity with the sequential
-// reference — the graph orders every pair of conflicting rotations exactly
+// reference — the graph orders every pair of conflicting chase steps exactly
 // as the sweep-major loop does — so these tests compare float64 bits, not
 // tolerances, across ragged shapes, bandwidths, worker counts and window
 // widths (including windows far smaller than the default, which force deep
@@ -118,15 +119,24 @@ func TestReduceGraphShape(t *testing.T) {
 	diffBidiagonal(t, "graph-shape run", Reduce(b), finish())
 }
 
-// The warm segment kernel must not allocate: it only rotates slices of the
-// shared working band. This pins the zero-alloc property the executors'
+// The warm segment kernel must not allocate: it only applies reflectors
+// to slices of the shared working band, with scratch checked out of the
+// worker's workspace. This pins the zero-alloc property the executors'
 // steady state relies on.
 func TestSegmentKernelZeroAlloc(t *testing.T) {
 	b := randomBand(3, 256, 12)
 	w := newWork(b)
-	seg := segment{kb: 12, i0: 5, sweeps: 4, a: 0, b: 128, skew: 14}
-	if allocs := testing.AllocsPerRun(20, func() { w.runSegment(seg) }); allocs != 0 {
+	ws := nla.NewWorkspace(scratchElems(w.ku))
+	_, sweeps, skew := cutting(w.n, w.ku, 64)
+	seg := segment{i0: 5, sweeps: sweeps, a: 0, b: 128, skew: skew}
+	if _, _, _, ok := w.span(seg); !ok {
+		t.Fatal("segment holds no steps")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { w.runSegment(seg, ws) }); allocs != 0 {
 		t.Fatalf("segment kernel allocates: %v allocs/op", allocs)
+	}
+	if ws.Grows() != 0 {
+		t.Fatalf("segment kernel outgrew its declared scratch")
 	}
 }
 

@@ -1,219 +1,192 @@
 package band
 
-import "math"
+import "github.com/tiled-la/bidiag/internal/nla"
 
 // Reduce performs the BND2BD stage: it reduces an upper-band matrix
 // (diagonal plus KU superdiagonals, the output shape of the tiled GE2BND
-// algorithms) to upper bidiagonal form with Givens rotations, chasing each
-// bulge off the end of the band, in the style of the Schwarz/Lang band
-// reduction used by PLASMA. The input is not modified; the returned matrix
-// has KU = 1 (or less for tiny n). Singular values are preserved.
+// algorithms) to upper bidiagonal form with a Householder bulge chase,
+// the kernel family of PLASMA's band-to-bidiagonal reduction
+// (arXiv:1611.06892). The input is not modified; the returned matrix has
+// KU = 1 (or less for tiny n). Singular values are preserved.
 //
-// The reduction removes one superdiagonal at a time: annihilating element
-// (i, i+kb) with a column rotation creates a subdiagonal bulge at
-// (i+kb, i+kb−1); the row rotation that removes it spills one element to
-// superdiagonal kb+1, which the next column rotation pushes kb columns
-// further — O(n²·KU) work in total, memory bound, exactly the profile the
-// paper ascribes to BND2BD.
+// The reduction is one pass of sweeps over a column-packed band. Sweep i
+// zeroes row i beyond its superdiagonal with one right reflector of
+// length ≤ KU, then zeroes the subdiagonal bulge that reflector filled
+// in with one left reflector; the left reflector spills a triangle past
+// the band, whose first row the next step's right reflector zeroes, and
+// so on: the sweep chases its bulge off the band in steps of KU columns.
+// The remnants a step leaves below the diagonal and above the band are
+// cleaned up by the following sweeps — O(n²·KU) work in total, memory
+// bound, exactly the profile the paper ascribes to BND2BD.
 //
 // Reduce executes every sweep to completion before starting the next: it
 // is single-threaded and serves as the numerical reference (oracle) for
-// the pipelined parallel implementation in parallel.go, which applies the
-// exact same rotations in a sequentially consistent order and is therefore
+// the pipelined parallel implementation in parallel.go, which runs the
+// exact same steps in a sequentially consistent order and is therefore
 // bitwise-identical.
 func Reduce(b *Matrix) *Matrix {
-	n := b.N
-	if n == 0 {
-		return New(0, 0)
-	}
 	w := newWork(b)
-	for kb := b.KU; kb >= 2; kb-- {
-		w.eliminateDiagonal(kb)
+	if w.ku < 2 {
+		return w.extract()
+	}
+	ws := nla.NewWorkspace(scratchElems(w.ku))
+	for i := 0; i+2 < w.n; i++ {
+		for st := i + 1; st+1 < w.n; st += w.ku {
+			w.step(i, st, ws)
+		}
 	}
 	return w.extract()
 }
 
-// work is a band with one extra superdiagonal and one subdiagonal to hold
-// the transient bulge elements during the chase.
+// work is the column-packed working band of a reduction: column j
+// stores rows j−up … j+lo contiguously, where up = 2·ku−1 covers the
+// band and the spill a chase step leaves above it and lo = ku−1 the
+// subdiagonal bulge (a band with ku < 2 is never chased and stores just
+// its ku superdiagonals). A reflector therefore reads and writes
+// contiguous column segments, and a window of columns is one contiguous
+// slice.
 type work struct {
-	n, ku int // ku = the original bandwidth
-	// diags[s+1][i] = element (i, i+s) for 0 ≤ s ≤ ku+1 (indexed by row i)
-	// and diags[0][j] = element (j+1, j) (the subdiagonal, indexed by
-	// column j).
-	diags [][]float64
+	n, ku int
+	up    int // stored superdiagonals; element (r, c) sits at c·ld + up + r − c
+	ld    int // column stride, up + 1 + lo
+	a     []float64
 }
 
+// newWork returns the packed working copy of b.
 func newWork(b *Matrix) *work {
-	w := &work{n: b.N, ku: b.KU}
-	w.diags = make([][]float64, b.KU+3)
-	for s := -1; s <= b.KU+1; s++ {
-		ln := b.N
-		if s > 0 {
-			ln = b.N - s
-		} else if s < 0 {
-			ln = b.N + s
-		}
-		if ln < 0 {
-			ln = 0
-		}
-		w.diags[s+1] = make([]float64, ln)
+	w := &work{n: b.N, ku: b.KU, up: b.KU}
+	lo := 0
+	if b.KU >= 2 {
+		w.up, lo = 2*b.KU-1, b.KU-1
 	}
-	for s := 0; s <= b.KU; s++ {
-		copy(w.diags[s+1], b.diags[s])
+	w.ld = w.up + 1 + lo
+	w.a = make([]float64, b.N*w.ld)
+	for s, d := range b.diags {
+		for i, v := range d {
+			w.a[(i+s)*w.ld+w.up-s] = v
+		}
 	}
 	return w
 }
 
-func (w *work) get(i, j int) float64 {
-	s := j - i
-	if s < -1 || s > w.ku+1 || i < 0 || j < 0 || i >= w.n || j >= w.n {
-		return 0
-	}
-	if s >= 0 {
-		return w.diags[s+1][i]
-	}
-	return w.diags[0][j]
-}
+// scratchElems returns the workspace elements one chase step checks out:
+// the reflector vector (≤ ku) and the right update's row accumulator
+// (≤ 2·ku − 1).
+func scratchElems(ku int) int { return 3 * ku }
 
 // extract copies the main diagonal and first superdiagonal into a fresh
 // bidiagonal matrix, the result shape of the reduction.
 func (w *work) extract() *Matrix {
 	n := w.n
-	if n == 0 {
-		return New(0, 0)
-	}
-	out := New(n, min(1, n-1))
-	copy(out.diags[0], w.diags[1])
-	if n > 1 {
-		copy(out.diags[1], w.diags[2])
+	out := New(n, min(1, max(n-1, 0)))
+	for j := 0; j < n; j++ {
+		out.diags[0][j] = w.a[j*w.ld+w.up]
+		if j > 0 && w.up > 0 {
+			out.diags[1][j-1] = w.a[j*w.ld+w.up-1]
+		}
 	}
 	return out
 }
 
-// givens returns (c, s) with c·f + s·g = r and −s·f + c·g = 0 (dlartg).
-func givens(f, g float64) (c, s float64) {
-	if g == 0 {
-		return 1, 0
+// stepShape returns the geometry of the chase step of sweep i at column
+// st: the step's reflectors act on columns/rows [st, ed]; the right one
+// zeroes row r over columns st+1…ed and updates rows r+1…ed; the left
+// one updates columns st+1…cend.
+func (w *work) stepShape(i, st int) (ed, r, cend int) {
+	ed = min(st+w.ku-1, w.n-1)
+	r = st - w.ku
+	if st == i+1 {
+		r = i
 	}
-	if f == 0 {
-		return 0, 1
-	}
-	r := math.Hypot(f, g)
-	return f / r, g / r
+	return ed, r, min(ed+w.ku, w.n-1)
 }
 
-// rotCols post-multiplies columns (c1, c1+1) by the rotation: col1 ←
-// c·col1 + s·col2, col2 ← −s·col1 + c·col2, over rows [rlo, rhi]. The rows
-// index the diagonal slices directly (the rotation never leaves the
-// extended band, and rhi ≤ c1+1 at every call site), so the hot loop runs
-// without per-element range logic; the arithmetic is exactly the
-// v1/v2 update pair, which keeps every execution path bitwise-identical.
-func (w *work) rotCols(c1 int, cs, sn float64, rlo, rhi int) {
-	d := w.diags
-	last := rhi
-	if last > c1 {
-		last = c1
-	}
-	for r := rlo; r <= last; r++ {
-		s1, s2 := d[c1-r+1], d[c1-r+2]
-		v1, v2 := s1[r], s2[r]
-		s1[r] = cs*v1 + sn*v2
-		s2[r] = -sn*v1 + cs*v2
-	}
-	if rhi == c1+1 {
-		// Row c1+1 holds the subdiagonal element (c1+1, c1), which lives in
-		// diags[0] indexed by column.
-		r := c1 + 1
-		v1, v2 := d[0][c1], d[1][r]
-		d[0][c1] = cs*v1 + sn*v2
-		d[1][r] = -sn*v1 + cs*v2
-	}
+// stepFlops is the modeled flop count of one chase step: 4 flops per
+// element each reflector updates. The model is data-independent — a
+// step whose reflectors turn out trivial is counted all the same — so
+// simulated and measured graphs agree.
+func (w *work) stepFlops(i, st int) float64 {
+	ed, r, cend := w.stepShape(i, st)
+	l := float64(ed - st + 1)
+	return 4 * l * float64(ed-r+cend-st)
 }
 
-// rotRows pre-multiplies rows (r1, r1+1) by the rotation: row1 ←
-// c·row1 + s·row2, row2 ← −s·row1 + c·row2, over columns [clo, chi].
-// Every call site uses clo == r1 (the diagonal/subdiagonal pair).
-func (w *work) rotRows(r1 int, cs, sn float64, clo, chi int) {
-	d := w.diags
-	col := clo
-	if col == r1 {
-		// Column r1 pairs the diagonal (r1, r1) with the subdiagonal
-		// (r1+1, r1), which diags[0] indexes by column.
-		v1, v2 := d[1][r1], d[0][r1]
-		d[1][r1] = cs*v1 + sn*v2
-		d[0][r1] = -sn*v1 + cs*v2
-		col++
-	}
-	for ; col <= chi; col++ {
-		s1, s2 := d[col-r1+1], d[col-r1]
-		v1, v2 := s1[r1], s2[r1+1]
-		s1[r1] = cs*v1 + sn*v2
-		s2[r1+1] = -sn*v1 + cs*v2
-	}
-}
+// step runs the chase step of sweep i at column st (st = i+1+k·ku for
+// step k, st+1 < n): a right reflector on columns st…ed zeroes row r
+// past (r, st) — the band row i for k = 0, otherwise the first row of
+// the spill the previous step left — and a left reflector on rows
+// st…ed zeroes the subdiagonal of column st, spilling into columns
+// ed+1…ed+ku for the next step to chase. A reflector whose target is
+// already zero (τ = 0) is the identity and is not applied. Scratch comes
+// from ws (scratchElems(ku) elements) and is released on return.
+func (w *work) step(i, st int, ws *nla.Workspace) {
+	a, ld, up := w.a, w.ld, w.up
+	ed, r, cend := w.stepShape(i, st)
+	l := ed - st + 1
+	mark := ws.Mark()
+	v := ws.ScratchVec(l - 1)
 
-// annihilate is round 0 of sweep (kb, i): it zeroes element (i, i+kb) with
-// a right rotation on columns (i+kb−1, i+kb), creating the subdiagonal
-// bulge the chase rounds push off the band. It reports whether a bulge was
-// created; when the element is already exactly zero nothing is written, so
-// running the chase rounds anyway (as the pipelined tasks do) is a no-op
-// bitwise-identical to skipping them.
-func (w *work) annihilate(kb, i int) bool {
-	c := i + kb
-	f := w.get(i, c-1)
-	g := w.get(i, c)
-	if g == 0 {
-		return false
+	// Right reflector: gather row r over columns st+1…ed (stride ld−1).
+	rs := st*ld + up + r - st // index of (r, st)
+	for q := range v {
+		k := rs + (q+1)*(ld-1)
+		v[q], a[k] = a[k], 0
 	}
-	cs, sn := givens(f, g)
-	rlo := max(0, c-1-kb)
-	rhi := min(w.n-1, c) // row c receives the subdiagonal bulge
-	w.rotCols(c-1, cs, sn, rlo, rhi)
-	return true
-}
-
-// chaseRound is chase round r ≥ 1 of sweep (kb, i), centered at column
-// c = i + r·kb: a left rotation on rows (c−1, c) zeroes the subdiagonal
-// bulge at (c, c−1) and spills one element to superdiagonal kb+1 at
-// (c−1, c+kb); a right rotation on columns (c+kb−1, c+kb) zeroes the
-// spill, pushing the bulge kb columns further. It returns false when the
-// round falls outside the band (the chase is over). Rotations whose target
-// is exactly zero are skipped, so phantom rounds (no bulge in flight)
-// write nothing.
-func (w *work) chaseRound(kb, i, r int) bool {
-	n := w.n
-	c := i + r*kb
-	if c >= n {
-		return false
-	}
-	f := w.get(c-1, c-1)
-	g := w.get(c, c-1)
-	if g != 0 {
-		cs, sn := givens(f, g)
-		chi := min(n-1, c+kb) // col c+kb receives the spill at row c−1
-		w.rotRows(c-1, cs, sn, c-1, chi)
-	}
-	if c+kb > n-1 {
-		return false
-	}
-	f = w.get(c-1, c+kb-1)
-	g = w.get(c-1, c+kb)
-	if g != 0 {
-		cs, sn := givens(f, g)
-		rhi := min(n-1, c+kb) // row c+kb receives the next bulge
-		w.rotCols(c+kb-1, cs, sn, c-1, rhi)
-	}
-	return true
-}
-
-// eliminateDiagonal removes every element of superdiagonal kb, chasing the
-// resulting bulges off the band one sweep at a time.
-func (w *work) eliminateDiagonal(kb int) {
-	for i := 0; i+kb < w.n; i++ {
-		if !w.annihilate(kb, i) {
-			continue
+	beta, tau := nla.Larfg(a[rs], v)
+	a[rs] = beta
+	if tau != 0 {
+		m := ed - r
+		y := ws.ScratchVec(m)
+		col := func(q int) []float64 {
+			k := rs + q*(ld-1) + 1
+			return a[k : k+m]
 		}
-		for r := 1; w.chaseRound(kb, i, r); r++ {
+		copy(y, col(0))
+		q := 1
+		for ; q+3 < l; q += 4 {
+			nla.Gaxpy4(v[q-1], v[q], v[q+1], v[q+2], col(q), col(q+1), col(q+2), col(q+3), y)
+		}
+		for ; q < l; q++ {
+			nla.Axpy(v[q-1], col(q), y)
+		}
+		nla.Axpy(-tau, y, col(0))
+		q = 1
+		for ; q+3 < l; q += 4 {
+			nla.Axpy4(-tau*v[q-1], -tau*v[q], -tau*v[q+1], -tau*v[q+2], y, col(q), col(q+1), col(q+2), col(q+3))
+		}
+		for ; q < l; q++ {
+			nla.Axpy(-tau*v[q-1], y, col(q))
 		}
 	}
+
+	// Left reflector: column st below the diagonal (contiguous).
+	d := st*ld + up
+	copy(v, a[d+1:d+l])
+	clear(a[d+1 : d+l])
+	beta, tau = nla.Larfg(a[d], v)
+	a[d] = beta
+	if tau != 0 {
+		seg := func(c int) []float64 {
+			k := c*ld + up + st - c
+			return a[k : k+l]
+		}
+		c := st + 1
+		for ; c+3 <= cend; c += 4 {
+			s0, s1, s2, s3 := seg(c), seg(c+1), seg(c+2), seg(c+3)
+			w0, w1, w2, w3 := nla.Dot4(v, s0[1:], s1[1:], s2[1:], s3[1:])
+			w0, w1, w2, w3 = tau*(s0[0]+w0), tau*(s1[0]+w1), tau*(s2[0]+w2), tau*(s3[0]+w3)
+			s0[0] -= w0
+			s1[0] -= w1
+			s2[0] -= w2
+			s3[0] -= w3
+			nla.Axpy4(-w0, -w1, -w2, -w3, v, s0[1:], s1[1:], s2[1:], s3[1:])
+		}
+		for ; c <= cend; c++ {
+			s := seg(c)
+			wc := tau * (s[0] + nla.Dot(v, s[1:]))
+			s[0] -= wc
+			nla.Axpy(-wc, v, s[1:])
+		}
+	}
+	ws.Release(mark)
 }

@@ -9,9 +9,10 @@ import (
 // stage: an n=4096, KU=64 band — the shape GE2BND emits for a 4096²
 // matrix at nb=64 — reduced by the sequential reference and by the
 // pipelined task graph at several worker counts. The GFLOP/s metric uses
-// the data-independent rotation model (ModelFlops), so rates are directly
-// comparable across commits and machines; cmd/bidiagbench -stage bnd2bd
-// emits the same figure as a BENCH_*.json trajectory record.
+// the fixed rating count ModelFlops (6·n²·ku), so rates are directly
+// comparable across commits, algorithms and machines; cmd/bidiagbench
+// -stage bnd2bd emits the same figure as a BENCH_*.json trajectory
+// record.
 func BenchmarkBND2BD(b *testing.B) {
 	const n, ku = 4096, 64
 	src := randomBand(42, n, ku)

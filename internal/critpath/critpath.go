@@ -198,10 +198,10 @@ func Theorem1Ratio(alpha, beta float64, q int) float64 {
 
 // MeasureBND2BD builds the pipelined BND2BD DAG of an n×n band with ku
 // superdiagonals (window ≤ 0: the default width) and returns its measured
-// critical path and total work, both in modeled rotation flops — the
-// second-stage counterpart of the Section IV GE2BND measurements. The
+// critical path and total work, both in modeled reflector-update flops —
+// the second-stage counterpart of the Section IV GE2BND measurements. The
 // Table I nb³/3 unit does not apply to chase segments, whose cost depends
-// on kb and window, so the natural unit here is the flop model itself;
+// on ku and the cut, so the natural unit here is the flop model itself;
 // work/cp bounds the speedup of the pipelined stage on unbounded
 // resources, and with a single window (window ≥ n) the DAG degenerates to
 // a chain with cp = work.

@@ -24,10 +24,10 @@ const (
 	// LASETKind zeroes a tile. Zero weight, like LACPYKind.
 	LASETKind
 	// BRDSEGKind is one chase segment of the pipelined BND2BD band
-	// reduction (internal/band): a caravan of Givens bulge chases advanced
-	// across one column window. It is not a Table I kernel — its cost is
-	// data-size dependent, so each task carries its own modeled weight and
-	// the table entry is 0.
+	// reduction (internal/band): a caravan of Householder bulge chases
+	// advanced across one cut of column windows. It is not a Table I
+	// kernel — its cost is data-size dependent, so each task carries its
+	// own modeled weight and the table entry is 0.
 	BRDSEGKind
 	// BANDCPKind drains the band region of a finished stage-1 tile into
 	// the working storage of the second stage (the cross-stage adapter of

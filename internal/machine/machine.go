@@ -131,7 +131,7 @@ func (m Model) DistConfig(nodes int, reserveCore bool) sched.DistConfig {
 }
 
 // BND2BDTime models the memory-bound band-to-bidiagonal stage on one node:
-// ~6·n²·nb flops of Givens updates at the memory-bound rate.
+// ~6·n²·nb flops of bulge-chase updates at the memory-bound rate.
 func (m Model) BND2BDTime(n, nb int) float64 {
 	return 6 * float64(n) * float64(n) * float64(nb) / m.MemBoundRate
 }

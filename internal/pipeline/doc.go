@@ -17,10 +17,12 @@
 //	         (core.BuildBidiag / core.BuildRBidiag);
 //	BANDCP   cross-stage adapters, one per band tile, that drain the
 //	         diagonal (and first-superdiagonal) tile's band region into
-//	         the second stage's working storage (band.Target) the moment
-//	         the last stage-1 task writing it retires;
-//	BND2BD   the bulge-chase segments of the pipelined band reduction
-//	         (band.Target.BuildSegments), reading the same per-window
+//	         the second stage's column-packed working storage
+//	         (band.Target) the moment the last stage-1 task writing it
+//	         retires;
+//	BND2BD   the Householder bulge-chase segments of the pipelined band
+//	         reduction (band.Target.BuildSegments) — each task several
+//	         chase steps of several sweeps — reading the same per-window
 //	         handles the adapters write.
 //
 // An Executor is anything that can run a sched.Graph to completion:
@@ -53,9 +55,9 @@
 // and reduces it as a separate graph (bidiag.Options.Fused = false keeps
 // this path as the oracle). With Spec.Fused = true the Plan carries all
 // three stages and there is no barrier and no intermediate band.Matrix
-// round-trip: bulge-chase sweeps over band columns [c, c+w) become
-// runnable as soon as the stage-1 tasks finalizing those diagonal and
-// superdiagonal tiles retire, which overlaps the chase wavefront with
+// round-trip: chase steps over band columns [c, c+w) become runnable as
+// soon as the stage-1 tasks finalizing those diagonal and superdiagonal
+// tiles retire, which overlaps the chase wavefront with
 // the trailing stage-1 updates — the pipelining opportunity the paper's
 // critical-path analysis exposes. The adapters carry zero weight and
 // zero flops, so critpath.MeasurePipeline reports a fused critical path

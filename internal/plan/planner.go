@@ -382,9 +382,10 @@ func (p *pricer) stage1Formula(c Config) Candidate {
 }
 
 // stage2 prices the pipelined bulge chase of the n×n, bandwidth-nb
-// band stage 1 leaves behind. The chase DAG is far too large to
-// simulate at planning time (Θ(n²/window) tasks — 251k at n=1024,
-// nb=48), so it is priced in closed form: the memory-bound work
+// band stage 1 leaves behind. The chase DAG is too large to simulate
+// at planning time (Θ(n²/nb) tasks — 2.8k at n=1024, nb=48, on top of
+// the window handles' dependence inference), so it is priced in closed
+// form: the memory-bound work
 // 6·n²·nb flops (machine.BND2BDTime's count) over the per-core BRDSEG
 // rate times the wavefront parallelism the window permits,
 // π = clamp(n/(4·width), 1, workers) — sweeps are spaced a few windows

@@ -361,6 +361,9 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	if req.A.Rows() == 0 || req.A.Cols() == 0 {
 		return serve.Request{}, errors.New("bidiag: empty matrix")
 	}
+	if err := checkFinite(req.A.inner); err != nil {
+		return serve.Request{}, err
+	}
 
 	// Options.Auto jobs consult the service's autotuner at admission:
 	// promoted profiles return their measured winner, exploring profiles
